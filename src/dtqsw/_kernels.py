@@ -1,8 +1,7 @@
 """Hot numerical kernels with numba acceleration and a pure-numpy fallback.
 
 Set DTQSW_DISABLE_NUMBA=1 to force the numpy path (also taken automatically
-when numba is unavailable). Both paths produce identical results; see
-benchmarks/bench_kernels.py for a speed comparison.
+when numba is unavailable). Both paths produce identical results.
 """
 
 from __future__ import annotations

@@ -5,6 +5,9 @@ The density matrix is stored as a (2, P, 2, P) array over
 origin at index L. The truncation half-width is chosen as L = t_max + 1,
 so the light cone can never touch the boundary; any contact is a hard
 error, never silent mass loss.
+
+Step t applies rho'(x, y) = sum M_{ss'} rho(x - s, y - s'), with the 4x4
+blocks of model.shift_blocks, on the light cone |x|, |y| <= t only.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from .errors import (
     ResourceError,
     TruncationError,
 )
-from .model import TranslationKrausFamily, WalkParams, kraus_family
+from .model import TranslationKrausFamily, WalkParams, kraus_family, shift_blocks
 
 __all__ = [
     "MonitoredDensityState",
@@ -31,23 +34,6 @@ __all__ = [
 ]
 
 DEFAULT_MEMORY_CAP = 4 << 30  # bytes
-
-
-def _shifted(arr: np.ndarray, axis: int, shift: int) -> np.ndarray:
-    """Shift along a position axis with zero fill (no wrap-around)."""
-    if shift == 0:
-        return arr
-    out = np.zeros_like(arr)
-    src = [slice(None)] * arr.ndim
-    dst = [slice(None)] * arr.ndim
-    if shift > 0:
-        src[axis] = slice(None, -shift)
-        dst[axis] = slice(shift, None)
-    else:
-        src[axis] = slice(-shift, None)
-        dst[axis] = slice(None, shift)
-    out[tuple(dst)] = arr[tuple(src)]
-    return out
 
 
 @dataclass
@@ -108,37 +94,61 @@ def initial_state(coin_density: np.ndarray, half_width: int) -> MonitoredDensity
     return MonitoredDensityState(half_width=half_width, rho=rho)
 
 
+def _span(shift: int, n: int) -> slice:
+    """Sites of an n-site axis that a shift moves to (the source is _span(-shift))."""
+    return slice(max(shift, 0), n + min(shift, 0))
+
+
 def _apply_cptp(rho: np.ndarray, family: TranslationKrausFamily) -> np.ndarray:
+    """sum_j E_j rho E_j^dag on a (2, n, 2, n) array; nothing wraps around."""
     out = np.zeros_like(rho)
-    for op in family.kraus:
-        left = np.zeros_like(rho)
-        for block, shift in op.terms:
-            left += _shifted(np.einsum("ab,bxcy->axcy", block, rho), 1, shift)
-        for block, shift in op.terms:
-            out += _shifted(np.einsum("axby,cb->axcy", left, block.conj()), 3, shift)
+    n = rho.shape[1]
+    for (s, s2), m in shift_blocks(family).items():
+        src = rho[:, _span(-s, n), :, _span(-s2, n)]
+        dst = out[:, _span(s, n), :, _span(s2, n)]  # a view: += adds in place
+        dst += np.einsum("abcd,cxdy->axby", m.reshape(2, 2, 2, 2), src)
     return out
 
 
 def step_monitored(
     state: MonitoredDensityState, family: TranslationKrausFamily
 ) -> MonitoredDensityState:
-    """One CPTP step followed by absorption projection at the origin."""
-    if state.step_count + 1 > state.half_width:
+    """One CPTP step followed by absorption projection at the origin.
+
+    The state must lie in its light cone |x|, |y| <= step_count, as every
+    state grown from initial_state does.
+    """
+    t = state.step_count + 1
+    if t > state.half_width:
         raise TruncationError(
-            f"step {state.step_count + 1} would reach the truncation boundary "
+            f"step {t} would reach the truncation boundary "
             f"(half_width={state.half_width})"
         )
-    rho = _apply_cptp(state.rho, family)
     o = state.origin
+    cone = slice(o - t, o + t + 1)
+    inner = _apply_cptp(state.rho[:, cone, :, cone], family)
+    rho = np.zeros_like(state.rho)
+    rho[:, cone, :, cone] = inner
     absorbed = float((rho[0, o, 0, o] + rho[1, o, 1, o]).real)
     rho[:, o, :, :] = 0.0
     rho[:, :, :, o] = 0.0
     return MonitoredDensityState(
         half_width=state.half_width,
         rho=rho,
-        step_count=state.step_count + 1,
+        step_count=t,
         absorbed_mass=state.absorbed_mass + absorbed,
     )
+
+
+def _evolution_bytes(t_max: int) -> int:
+    """Peak bytes of return_series(t_max), the figure its ResourceError guards.
+
+    A step holds three state-size arrays at once (the old state, the light-cone
+    result of _apply_cptp or one block contraction, the new state) plus numpy's
+    buffers for the strided adds, which stay under 1 MiB.
+    """
+    dim = 2 * (2 * (t_max + 1) + 1)
+    return 3 * dim * dim * 16 + (1 << 20)
 
 
 def return_series(
@@ -153,11 +163,10 @@ def return_series(
     if coin_density is None:
         coin_density = np.diag([1.0, 0.0])
     half_width = t_max + 1
-    dim = 2 * (2 * half_width + 1)
-    nbytes = dim * dim * 16
+    nbytes = _evolution_bytes(t_max)
     if nbytes > memory_cap:
         raise ResourceError(
-            f"density matrix would need {nbytes} bytes (cap {memory_cap})"
+            f"monitored evolution would need {nbytes} bytes (cap {memory_cap})"
         )
     family = kraus_family(params)
     state = initial_state(coin_density, half_width)

@@ -20,6 +20,7 @@ import numpy as np
 from ._kernels import determinant_grid, invert_grid_4x4
 from .errors import (
     ConditioningError,
+    DtqswError,
     OutOfValidatedRangeError,
     ParameterError,
     SingularKernelError,
@@ -218,7 +219,10 @@ def _harmonics_direct(family, z, n_max, grid_n, chunk=64):
         k1 = (xi[:, None] + x[None, :]) / 2
         k2 = (xi[:, None] - x[None, :]) / 2
         v = momentum_kernel(family, k1, k2)
-        a = invert_grid_4x4((eye - z * v).reshape(-1, 4, 4))
+        try:
+            a = invert_grid_4x4((eye - z * v).reshape(-1, 4, 4))
+        except np.linalg.LinAlgError as exc:
+            raise SingularKernelError(f"I - zV singular at z={z}: {exc}") from exc
         a = a.reshape(len(xi), grid_n, 16)
         # contract the eta axis with every harmonic at once
         rows[start : start + chunk] = np.einsum("bn,cnf->cbf", phases, a)
@@ -339,19 +343,18 @@ def recurrence_estimate(
                 col[i] = col[j] = 1.0 / math.sqrt(2)
             cols.append(col)
         b = np.array(cols).T  # (dim, reduced)
-        mat = b.T @ s.matrix @ b
-        rhs_red = b.T @ rhs
-        cond = np.linalg.cond(mat)
-        if cond > _COND_LIMIT:
-            raise ConditioningError(f"condition estimate {cond:.3e}")
-        w = b @ np.linalg.solve(mat, rhs_red)
-    else:
+        mat, rhs = b.T @ s.matrix @ b, b.T @ rhs
+    try:
         cond = np.linalg.cond(mat)
         if cond > _COND_LIMIT:
             raise ConditioningError(
                 f"condition estimate {cond:.3e} at z={z}, n_max={n_max}"
             )
         w = np.linalg.solve(mat, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise ConditioningError(f"solve failed at z={z}, n_max={n_max}: {exc}") from exc
+    if symmetry_reduction:
+        w = b @ w
 
     value = (1.0 - w[i_rr] - w[i_ll]) / z
     return float(value.real)
@@ -370,13 +373,13 @@ def z_sweep(
     n_max: int = 20,
     grid_n: int = 1024,
 ) -> list:
-    """One recurrence estimate per z; per-point failures are recorded."""
+    """One recurrence estimate per z; a DtqswError is recorded as a failed point."""
     if z_list is None:
         z_list = DEFAULT_Z_SAMPLES
     points = []
     for z in z_list:
         try:
             points.append(SweepPoint(z, recurrence_estimate(params, z, n_max, grid_n)))
-        except Exception as exc:  # noqa: BLE001 - sweep must continue
+        except DtqswError as exc:
             points.append(SweepPoint(z, float("nan"), f"{type(exc).__name__}: {exc}"))
     return points

@@ -31,6 +31,7 @@ __all__ = [
     "kraus_family",
     "balanced_family_from_coin",
     "momentum_kernel",
+    "shift_blocks",
     "unitary_step_momentum",
 ]
 
@@ -139,6 +140,14 @@ def unitary_step_momentum(theta: float, k) -> np.ndarray:
     return phase @ coin_matrix(theta)
 
 
+def _coined_operator(coin: np.ndarray, p: float) -> TranslationKraus:
+    """sqrt(1 - p) S (C x I): the R row of the coin steps right, the L row left."""
+    right, left = np.zeros((2, 2, 2), dtype=coin.dtype)
+    right[0], left[1] = coin
+    amp = math.sqrt(1 - p)
+    return TranslationKraus(((amp * right, +1), (amp * left, -1)))
+
+
 def balanced_family_from_coin(coin: np.ndarray, p: float) -> TranslationKrausFamily:
     """Balanced-interpolation family built on an arbitrary 2x2 coin.
 
@@ -146,14 +155,7 @@ def balanced_family_from_coin(coin: np.ndarray, p: float) -> TranslationKrausFam
     the public constructors below use the real coin_matrix.
     """
     p = _check_prob(p)
-    coin = np.asarray(coin)
-    proj_r = np.zeros((2, 2), dtype=coin.dtype)
-    proj_l = np.zeros((2, 2), dtype=coin.dtype)
-    proj_r[0] = coin[0]
-    proj_l[1] = coin[1]
-    e0 = TranslationKraus(
-        ((math.sqrt(1 - p) * proj_r, +1), (math.sqrt(1 - p) * proj_l, -1))
-    )
+    e0 = _coined_operator(np.asarray(coin), p)
     w = math.sqrt(p / 2)
     e1 = TranslationKraus(((w * np.eye(2), +1),))
     e2 = TranslationKraus(((w * np.eye(2), -1),))
@@ -171,38 +173,41 @@ def kraus_correlated(params: WalkParams) -> TranslationKrausFamily:
     """QW interpolated with the correlated RW: five Kraus operators.
 
     The four classical branches project the coin onto (R, L) before and
-    after the step, decohering it.
+    after the step, decohering it: branch (u, v) keeps the coin entry
+    C[u, v] and steps right for u = R, left for u = L.
     """
     if params.model is not Model.CORRELATED:
         raise ParameterError("kraus_correlated requires model=CORRELATED")
-    theta, p = params.theta, params.p
-    c, s = math.cos(theta), math.sin(theta)
-    sp = math.sqrt(p)
-    coin = coin_matrix(theta)
-    proj_r = np.zeros((2, 2))
-    proj_l = np.zeros((2, 2))
-    proj_r[0] = coin[0]
-    proj_l[1] = coin[1]
-    f0 = TranslationKraus(
-        ((math.sqrt(1 - p) * proj_r, +1), (math.sqrt(1 - p) * proj_l, -1))
-    )
-
-    def single(u, v, amp, shift):
+    coin = coin_matrix(params.theta)
+    sp = math.sqrt(params.p)
+    ops = [_coined_operator(coin, params.p)]
+    for u, v in ((0, 0), (0, 1), (1, 0), (1, 1)):
         block = np.zeros((2, 2))
-        block[u, v] = amp
-        return TranslationKraus(((sp * block, shift),))
-
-    f_rr = single(0, 0, c, +1)
-    f_rl = single(0, 1, s, +1)
-    f_lr = single(1, 0, s, -1)
-    f_ll = single(1, 1, -c, -1)
-    return TranslationKrausFamily((f0, f_rr, f_rl, f_lr, f_ll), label="correlated")
+        block[u, v] = sp * coin[u, v]
+        ops.append(TranslationKraus(((block, 1 - 2 * u),)))
+    return TranslationKrausFamily(tuple(ops), label="correlated")
 
 
 def kraus_family(params: WalkParams) -> TranslationKrausFamily:
     if params.model is Model.BALANCED:
         return kraus_balanced(params)
     return kraus_correlated(params)
+
+
+def shift_blocks(family: TranslationKrausFamily) -> dict:
+    """M_{ss'} = sum_j B_{j,s} kron conj(B_{j,s'}), keyed by the shift pair (s, s').
+
+    B_{j,s} is the coin block of Kraus operator j at shift s; the 4x4 blocks
+    act on the coin-pair index 2*c + c'. One step of the map is rho'(x, y) =
+    sum M_{ss'} rho(x - s, y - s'), and for real blocks momentum_kernel is
+    sum M_{ss'} exp(-i (s k1 + s' k2)). All-zero blocks are left out.
+    """
+    blocks = {}
+    for op in family.kraus:
+        for ket, s in op.terms:
+            for bra, s2 in op.terms:
+                blocks[s, s2] = blocks.get((s, s2), 0) + np.kron(ket, np.conj(bra))
+    return {key: m for key, m in blocks.items() if np.any(m)}
 
 
 def momentum_kernel(family: TranslationKrausFamily, k1, k2) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BracketError, ParameterError
-from .model import Model, coin_matrix
+from .model import Model, WalkParams, coin_matrix, kraus_family
 
 __all__ = [
     "MonitoredTrajectory",
@@ -93,25 +93,6 @@ def monitored_trajectory(
     return MonitoredTrajectory(theta=theta, states=states)
 
 
-def _classical_branches(theta: float, model: Model):
-    """Unit-weight classical Kraus insertions (coin action, shift)."""
-    if model is Model.BALANCED:
-        half_eye = np.eye(2)
-        return [(0.5, half_eye, +1), (0.5, half_eye, -1)]
-    c, s = math.cos(theta), math.sin(theta)
-    branches = []
-    for amp, u, v, shift in (
-        (c, 0, 0, +1),
-        (s, 0, 1, +1),
-        (s, 1, 0, -1),
-        (-c, 1, 1, -1),
-    ):
-        block = np.zeros((2, 2))
-        block[u, v] = amp
-        branches.append((1.0, block, shift))
-    return branches
-
-
 @dataclass
 class SlopeSeries:
     theta: float
@@ -132,17 +113,19 @@ def slope_series(theta: float, t_max: int, model: Model = Model.BALANCED) -> Slo
     origin = traj.origin
     coin = coin_matrix(theta)
     survival = traj.survival()
-    branches = _classical_branches(theta, model)
+    # the classical Kraus operators at unit weight (p = 1, coined operator dropped)
+    branches = kraus_family(WalkParams(theta, 1.0, model)).kraus[1:]
 
     # acc[t] accumulates the (negative) branch norms contributing to B_t
     acc = np.zeros(t_max + 1)
-    for k in range(t_max):
-        for weight, block, shift in branches:
-            w = _project_origin(_shift_state(block @ traj.states[k], shift), origin)
-            acc[k + 1] -= weight * np.vdot(w, w).real
+    for k, v in enumerate(traj.states[:t_max]):
+        for op in branches:
+            w = sum(_shift_state(block @ v, shift) for block, shift in op.terms)
+            w = _project_origin(w, origin)
+            acc[k + 1] -= np.vdot(w, w).real
             for t in range(k + 2, t_max + 1):
                 w = _project_origin(_unitary_step(w, coin), origin)
-                acc[t] -= weight * np.vdot(w, w).real
+                acc[t] -= np.vdot(w, w).real
     values = np.array([t * survival[t] + acc[t] for t in range(1, t_max + 1)])
     return SlopeSeries(theta=theta, model=model, values=values)
 

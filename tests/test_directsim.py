@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,14 +15,20 @@ from dtqsw import (
     step_monitored,
     weighted_return,
 )
-from dtqsw.directsim import _apply_cptp
+from dtqsw.directsim import _apply_cptp, _evolution_bytes
 from dtqsw.errors import (
     ConsistencyError,
     ParameterError,
     ResourceError,
     TruncationError,
 )
-from dtqsw.model import balanced_family_from_coin, coin_matrix, general_coin
+from dtqsw.model import (
+    balanced_family_from_coin,
+    coin_matrix,
+    general_coin,
+    momentum_kernel,
+    shift_blocks,
+)
 from dtqsw.perturbation import monitored_trajectory
 
 COIN_R = np.diag([1.0, 0.0])
@@ -176,6 +183,71 @@ def test_initial_state_validation():
 def test_resource_cap():
     with pytest.raises(ResourceError):
         return_series(WalkParams(math.pi / 4, 0.5), 100, memory_cap=1 << 20)
+
+
+@pytest.mark.parametrize("model", [Model.BALANCED, Model.CORRELATED])
+def test_resource_guard_covers_traced_peak(model):
+    """The guarded figure bounds every array a return_series call allocates."""
+    params, t_max = WalkParams(math.pi / 4, 0.5, model), 100
+    tracemalloc.start()
+    try:
+        return_series(params, t_max)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    state_bytes = (2 * (2 * t_max + 3)) ** 2 * 16
+    assert 2 * state_bytes < peak <= _evolution_bytes(t_max)
+    with pytest.raises(ResourceError):
+        return_series(params, t_max, memory_cap=_evolution_bytes(t_max) - 1)
+
+
+def _dense(op, n_pos):
+    """(2P x 2P) matrix of a TranslationKraus; shifts past the edge are dropped."""
+    return sum(np.kron(block, np.eye(n_pos, k=-shift)) for block, shift in op.terms)
+
+
+REFERENCE_FAMILIES = {
+    "balanced": kraus_family(WalkParams(0.7, 0.35, Model.BALANCED)),
+    "correlated": kraus_family(WalkParams(0.7, 0.35, Model.CORRELATED)),
+    "complex_coin": balanced_family_from_coin(
+        general_coin(0.7, 0.4, -0.9, 1.3), 0.35
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_FAMILIES))
+def test_apply_cptp_matches_dense_kraus_sum(name):
+    """Dense sum_j E_j rho E_j^dag on a random array with mass at the edges."""
+    family = REFERENCE_FAMILIES[name]
+    n_pos = 7
+    rng = np.random.default_rng(11)
+    shape = (2, n_pos, 2, n_pos)
+    rho = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    flat = rho.reshape(2 * n_pos, 2 * n_pos)
+    expected = sum(
+        e @ flat @ e.conj().T for e in (_dense(op, n_pos) for op in family.kraus)
+    )
+    got = _apply_cptp(rho, family).reshape(2 * n_pos, 2 * n_pos)
+    assert np.max(np.abs(got - expected)) < 1e-13
+
+
+@pytest.mark.parametrize("name", ["balanced", "correlated"])
+def test_momentum_kernel_matches_kraus_momenta_and_shift_blocks(name):
+    """V is sum_j E_j(k1) kron E_j(k2), and the shift blocks with their phases."""
+    family = REFERENCE_FAMILIES[name]
+    rng = np.random.default_rng(12)
+    k1, k2 = rng.uniform(-np.pi, np.pi, size=(2, 5, 3))
+    v = momentum_kernel(family, k1, k2)
+    from_kraus = sum(
+        np.einsum("...ab,...cd->...acbd", op.momentum(k1), op.momentum(k2))
+        for op in family.kraus
+    ).reshape(5, 3, 4, 4)
+    from_blocks = sum(
+        np.exp(-1j * (s * k1 + s2 * k2))[..., None, None] * m
+        for (s, s2), m in shift_blocks(family).items()
+    )
+    assert np.max(np.abs(v - from_kraus)) < 1e-14
+    assert np.max(np.abs(v - from_blocks)) < 1e-14
 
 
 def test_return_series_rejects_negative_first_return():

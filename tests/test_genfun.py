@@ -7,6 +7,7 @@ from dtqsw import (
     Model,
     WalkParams,
     fourier_blocks,
+    genfun,
     kraus_family,
     momentum_kernel,
     recurrence_estimate,
@@ -17,7 +18,12 @@ from dtqsw import (
     z_sweep,
 )
 from dtqsw.directsim import _apply_cptp
-from dtqsw.errors import OutOfValidatedRangeError, ParameterError
+from dtqsw.errors import (
+    ConditioningError,
+    OutOfValidatedRangeError,
+    ParameterError,
+    SingularKernelError,
+)
 from dtqsw.genfun import (
     DeterminantParams,
     Z_CAP,
@@ -251,3 +257,26 @@ def test_z_sweep_records_failures_and_continues():
     assert points[1].error is not None and math.isnan(points[1].value)
     assert points[2].error is None and np.isfinite(points[2].value)
     assert points[0].z == 0.5 and points[2].z == 0.6
+
+
+def test_z_sweep_propagates_bugs(monkeypatch):
+    """Only DtqswError is a per-point failure; anything else is a bug and escapes."""
+
+    def broken(*_args, **_kwargs):
+        raise ZeroDivisionError("bug")
+
+    monkeypatch.setattr(genfun, "stieltjes_matrix", broken)
+    with pytest.raises(ZeroDivisionError):
+        z_sweep(WalkParams(math.pi / 4, 0.3), [0.5], n_max=4, grid_n=64)
+
+
+def test_linalg_errors_become_typed_errors(monkeypatch):
+    def singular(*_args, **_kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(genfun, "invert_grid_4x4", singular)
+    with pytest.raises(SingularKernelError):
+        recurrence_estimate(WalkParams(0.6, 0.3, Model.CORRELATED), 0.5, 4, 64)
+    monkeypatch.setattr(genfun.np.linalg, "solve", singular)
+    with pytest.raises(ConditioningError):
+        recurrence_estimate(WalkParams(0.6, 0.3), 0.5, 4, 64)

@@ -73,7 +73,9 @@ def test_pi_half_trajectory_returns_at_step_two():
 
 def test_hadamard_slopes_positive_and_saturating():
     series = slope_series(math.pi / 4, 100, Model.BALANCED)
-    assert np.all(series.values[1::2] > 0)  # even t
+    # R_2 = 1/2 and R_4 = 5/8 for every p at theta = pi/4, so B_2 = B_4 = 0
+    assert np.max(np.abs(series.values[[1, 3]])) < 1e-14
+    assert np.all(series.values[5::2] > 0)  # even t >= 6
     # saturation: late even-t values change slowly
     assert abs(series.values[99] - series.values[79]) < 0.05 * abs(series.values[99])
 
