@@ -8,6 +8,17 @@ torus with the plain product measure. Each axis is regularized by the
 substitution xi = s - sin(2 s)/2 (Jacobian 1 - cos(2 s)), sampled by the
 rectangle rule at half-interval offsets so no node lands on the crest
 lines xi, eta in pi*Z where the determinant becomes small as z -> 1.
+
+Every Kraus family takes one route: A = adj(I - zV) / D. Every Kraus
+operator shifts by +-1, so in (xi, eta) the adjugate is a Laurent
+polynomial of band 3 and D = det(I - zV) one of band 4. Only the scalar
+1/D field is sampled on the quadrature grid; its moments are convolved
+with the adjugate's exact coefficients, taken from an FFT on an 8 x 8
+uniform grid. D comes from the closed form determinant_grid when the
+family has the shift blocks of a standard balanced family (it stays free
+of cancellation where D vanishes to fourth order at p = 1), and for any
+other family from its band-4 coefficients, taken the same way from a
+9 x 9 uniform grid.
 """
 
 from __future__ import annotations
@@ -26,11 +37,12 @@ from .errors import (
     SingularKernelError,
 )
 from .model import (
-    Model,
     TranslationKrausFamily,
     WalkParams,
+    kraus_balanced,
     kraus_family,
     momentum_kernel,
+    shift_blocks,
 )
 
 __all__ = [
@@ -54,11 +66,15 @@ DEFAULT_Z_SAMPLES = (
     0.99, 0.995, 0.998, 0.999, 0.9995, 0.9998, 0.9999, 0.99995, 0.99998, 0.99999,
 )
 
-# Adjugate entries of I - zV are Laurent polynomials in exp(i xi), exp(i eta)
-# of band at most 3 (products of three single-harmonic matrix entries).
+# Adjugate entries and the determinant of I - zV are Laurent polynomials in
+# exp(i xi), exp(i eta) of band at most 3 and 4 (products of three and four
+# single-harmonic matrix entries).
 _ADJ_BAND = 3
+_DET_BAND = 4
 _COND_LIMIT = 1e14
 _DET_FLOOR = 1e-300
+# shift blocks within this of a standard balanced family's select the closed-form D
+_STANDARD_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -123,37 +139,57 @@ def resolvent_kernel(
 ) -> np.ndarray:
     """A(z, k1, k2) = (I4 - z V(k1, k2))^-1 for a single momentum pair.
 
-    Balanced families use the adjugate/determinant closed form; others a
-    pivoted direct inverse.
+    Standard balanced families use the adjugate/determinant closed form;
+    every other family a pivoted direct inverse.
     """
     z = _check_z(z)
     v = momentum_kernel(family, k1, k2)
     m = np.eye(4) - z * v
-    if family.label == "balanced":
-        theta, p = _balanced_angles(family)
-        dp = DeterminantParams.from_walk(z, p, k1 + k2, k1 - k2)
-        det = determinant_balanced(dp, theta)
-        if abs(det) < _DET_FLOOR:
-            raise SingularKernelError(
-                f"determinant {det:.3e} at (k1, k2)=({k1}, {k2}), z={z}"
-            )
-        return adjugate_4x4(m) / det
-    return invert_grid_4x4(m[None])[0]
+    angles = _balanced_angles(family)
+    if angles is None:
+        return invert_grid_4x4(m[None])[0]
+    theta, p = angles
+    dp = DeterminantParams.from_walk(z, p, k1 + k2, k1 - k2)
+    det = determinant_balanced(dp, theta)
+    if abs(det) < _DET_FLOOR:
+        raise SingularKernelError(
+            f"determinant {det:.3e} at (k1, k2)=({k1}, {k2}), z={z}"
+        )
+    return adjugate_4x4(m) / det
 
 
-def _balanced_angles(family: TranslationKrausFamily) -> tuple[float, float]:
-    """Recover (theta, p) from a balanced family's Kraus blocks."""
-    e0 = family.kraus[0]
-    e1 = family.kraus[1]
-    p = float(np.clip(2 * e1.terms[0][0][0, 0].real ** 2, 0.0, 1.0))
-    block = e0.terms[0][0]
-    scale = math.sqrt(1 - p) if p < 1 else 1.0
+def _balanced_angles(family: TranslationKrausFamily) -> tuple[float, float] | None:
+    """(theta, p) if family has the shift blocks of kraus_balanced(theta, p), else None.
+
+    The angles are read off the Kraus blocks where a balanced family keeps
+    them, and trusted only once the standard family built from them
+    reproduces the shift blocks of the one passed in.
+    """
+    try:
+        coin_block = family.kraus[0].terms[0][0]
+        rw_block = family.kraus[1].terms[0][0]
+    except IndexError:
+        return None
+    p = float(np.clip(2 * rw_block[0, 0].real ** 2, 0.0, 1.0))
     if p == 1:
         # coin blocks vanish; any angle gives the same kernel
-        return 0.0, 1.0
-    c = float(np.real(block[0, 0])) / scale
-    s = float(np.real(block[0, 1])) / scale
-    return math.atan2(s, c), p
+        theta = 0.0
+    else:
+        scale = math.sqrt(1 - p)
+        c = float(np.real(coin_block[0, 0])) / scale
+        s = float(np.real(coin_block[0, 1])) / scale
+        theta = math.atan2(s, c)
+    try:
+        params = WalkParams(theta, p)
+    except ParameterError:
+        return None
+    mine = shift_blocks(family)
+    standard = shift_blocks(kraus_balanced(params))
+    if mine.keys() != standard.keys() or any(
+        np.max(np.abs(mine[key] - standard[key])) > _STANDARD_TOL for key in mine
+    ):
+        return None
+    return params.theta, params.p
 
 
 def _subst_grid(grid_n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -163,14 +199,41 @@ def _subst_grid(grid_n: int) -> tuple[np.ndarray, np.ndarray]:
     return s - 0.5 * np.sin(2 * s), (1.0 - np.cos(2 * s)) / grid_n
 
 
-def _harmonics_balanced(theta, p, z, n_max, grid_n):
+def _uniform_coefficients(family, z, n_u, transform):
+    """Laurent coefficients of transform(I - zV) from an n_u x n_u (xi, eta) grid.
+
+    Entry [a % n_u, b % n_u] multiplies exp(i (a xi + b eta)); exact for a
+    polynomial of band at most (n_u - 1) // 2.
+    """
+    ku = 2 * np.pi * np.arange(n_u) / n_u
+    xi_g, eta_g = np.meshgrid(ku, ku, indexing="ij")
+    v = momentum_kernel(family, (xi_g + eta_g) / 2, (xi_g - eta_g) / 2)
+    return np.fft.fft2(transform(np.eye(4) - z * v), axes=(0, 1)) / n_u**2
+
+
+def _determinant_field(family, z, x):
+    """D = det(I - zV) on the (xi, eta) = (x, x) product grid."""
+    angles = _balanced_angles(family)
+    if angles is not None:
+        theta, p = angles
+        return determinant_grid(x, x, z, p, theta)
+    # 2 * band + 1 samples per axis: 8 would alias the +-4 harmonics
+    n_u = 2 * _DET_BAND + 1
+    coeffs = _uniform_coefficients(family, z, n_u, np.linalg.det)
+    harmonics = np.arange(-_DET_BAND, _DET_BAND + 1)
+    band = coeffs[np.ix_(harmonics % n_u, harmonics % n_u)]
+    phases = np.exp(1j * np.outer(x, harmonics))
+    return phases @ band @ phases.T
+
+
+def _harmonics(family, z, n_max, grid_n):
     """Fourier coefficients of A over integer (xi, eta) harmonics.
 
     The scalar 1/D field is transformed once; the 16 adjugate entries are
     attached by discrete convolution with their (small) Laurent bands.
     """
     x, w = _subst_grid(grid_n)
-    det = determinant_grid(x, x, z, p, theta)
+    det = _determinant_field(family, z, x)
     small = np.min(np.abs(det))
     if small < _DET_FLOOR:
         raise SingularKernelError(f"determinant reached {small:.3e} on the grid")
@@ -181,14 +244,8 @@ def _harmonics_balanced(theta, p, z, n_max, grid_n):
     phases = np.exp(1j * np.outer(harmonics, x)) * w  # (n_h, N), weights folded in
     moments = (phases @ inv_det) @ phases.T  # (n_h, n_h)
 
-    # exact band-limited coefficients of the adjugate from a small uniform grid
     n_u = 8
-    ku = 2 * np.pi * np.arange(n_u) / n_u
-    xi_g, eta_g = np.meshgrid(ku, ku, indexing="ij")
-    fam = kraus_family(WalkParams(theta, p, Model.BALANCED))
-    v = momentum_kernel(fam, (xi_g + eta_g) / 2, (xi_g - eta_g) / 2)
-    adj = adjugate_4x4(np.eye(4) - z * v)
-    coeffs = np.fft.fft2(adj, axes=(0, 1)) / n_u**2
+    coeffs = _uniform_coefficients(family, z, n_u, adjugate_4x4)
 
     n_a = 4 * n_max + 1
     out = np.zeros((n_a, n_a, 4, 4), dtype=complex)
@@ -205,31 +262,6 @@ def _harmonics_balanced(theta, p, z, n_max, grid_n):
     return out
 
 
-def _harmonics_direct(family, z, n_max, grid_n, chunk=64):
-    """Fourier coefficients of A via per-sample pivoted inversion."""
-    x, w = _subst_grid(grid_n)
-    n_a = 4 * n_max + 1
-    harmonics = np.arange(-2 * n_max, 2 * n_max + 1)
-    phases = np.exp(1j * np.outer(harmonics, x)) * w  # (n_a, N)
-
-    eye = np.eye(4)
-    rows = np.zeros((grid_n, n_a, 16), dtype=complex)
-    for start in range(0, grid_n, chunk):
-        xi = x[start : start + chunk]
-        k1 = (xi[:, None] + x[None, :]) / 2
-        k2 = (xi[:, None] - x[None, :]) / 2
-        v = momentum_kernel(family, k1, k2)
-        try:
-            a = invert_grid_4x4((eye - z * v).reshape(-1, 4, 4))
-        except np.linalg.LinAlgError as exc:
-            raise SingularKernelError(f"I - zV singular at z={z}: {exc}") from exc
-        a = a.reshape(len(xi), grid_n, 16)
-        # contract the eta axis with every harmonic at once
-        rows[start : start + chunk] = np.einsum("bn,cnf->cbf", phases, a)
-    out = phases @ rows.reshape(grid_n, -1)
-    return out.reshape(n_a, n_a, 4, 4)
-
-
 def fourier_blocks(
     family: TranslationKrausFamily, z: float, n_max: int, grid_n: int = 1024
 ) -> dict:
@@ -241,11 +273,7 @@ def fourier_blocks(
     z = _check_z(z)
     if n_max < 2 or n_max % 2:
         raise ParameterError("n_max must be even and >= 2")
-    if family.label == "balanced":
-        theta, p = _balanced_angles(family)
-        harm = _harmonics_balanced(theta, p, z, n_max, grid_n)
-    else:
-        harm = _harmonics_direct(family, z, n_max, grid_n)
+    harm = _harmonics(family, z, n_max, grid_n)
     off = 2 * n_max
     blocks = {}
     for d1 in range(-2 * n_max, 2 * n_max + 1, 2):

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dtqsw import (
     Model,
     WalkParams,
+    coin_matrix,
     fourier_blocks,
     genfun,
     kraus_family,
@@ -25,13 +28,17 @@ from dtqsw.errors import (
     SingularKernelError,
 )
 from dtqsw.genfun import (
+    DEFAULT_Z_SAMPLES,
     DeterminantParams,
     Z_CAP,
+    _determinant_field,
+    _subst_grid,
     adjugate_4x4,
     cross_basis,
     determinant_balanced,
     _transpose_pair_index,
 )
+from dtqsw.model import balanced_family_from_coin
 
 RNG = np.random.default_rng(7)
 
@@ -98,10 +105,17 @@ def test_resolvent_dual_paths_agree():
 # -------------------------------------------------------------- Fourier blocks
 
 
-@pytest.mark.parametrize("model", [Model.BALANCED, Model.CORRELATED])
-def test_fourier_blocks_vs_uniform_grid_integral(model):
-    """Both harmonics paths against a plain rectangle rule in (k1, k2)."""
-    fam = kraus_family(WalkParams(0.9, 0.4, model))
+SIGMA_Z = np.diag([1.0, -1.0])
+# real coins outside the standard family C(theta); their D comes from the
+# band-4 polynomial (the recovered angle is 0.9 for the first, -0.9 for the second)
+NONSTANDARD_COINS = {
+    "sz_c": SIGMA_Z @ coin_matrix(0.9),
+    "c_sz": coin_matrix(0.9) @ SIGMA_Z,
+}
+
+
+def _assert_blocks_match_rectangle_rule(fam):
+    """Fourier blocks against a plain rectangle rule in (k1, k2)."""
     z = 0.3
     blocks = fourier_blocks(fam, z, 4, grid_n=256)
     n = 128
@@ -112,6 +126,43 @@ def test_fourier_blocks_vs_uniform_grid_integral(model):
         phases = np.exp(1j * (k1 * d1 + k2 * d2))
         ref = np.einsum("ab,abij->ij", phases, a) / n**2
         assert np.max(np.abs(ref - blocks[(d1, d2)])) < 1e-12
+
+
+@pytest.mark.parametrize("model", [Model.BALANCED, Model.CORRELATED])
+def test_fourier_blocks_vs_uniform_grid_integral(model):
+    """Both D sources against a plain rectangle rule in (k1, k2)."""
+    _assert_blocks_match_rectangle_rule(kraus_family(WalkParams(0.9, 0.4, model)))
+
+
+@pytest.mark.parametrize("coin", NONSTANDARD_COINS)
+def test_fourier_blocks_nonstandard_balanced_coin(coin):
+    """A balanced family on another real coin is integrated as it is, not as C(theta)."""
+    fam = balanced_family_from_coin(NONSTANDARD_COINS[coin], 0.4)
+    _assert_blocks_match_rectangle_rule(fam)
+    k1, k2 = 0.4, 1.3
+    a = resolvent_kernel(fam, 0.3, k1, k2)
+    m = np.eye(4) - 0.3 * momentum_kernel(fam, k1, k2)
+    assert np.max(np.abs(a @ m - np.eye(4))) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "fam",
+    [
+        kraus_family(WalkParams(0.9, 0.4)),
+        kraus_family(WalkParams(0.9, 0.4, Model.CORRELATED)),
+        balanced_family_from_coin(NONSTANDARD_COINS["sz_c"], 0.4),
+    ],
+    ids=["balanced", "correlated", "sz_c"],
+)
+def test_determinant_field_vs_pointwise_determinant(fam):
+    """The closed form and the band-4 polynomial both give det(I - zV) at the nodes."""
+    z = 0.999
+    x, _ = _subst_grid(16)
+    det = _determinant_field(fam, z, x)
+    k1 = (x[:, None] + x[None, :]) / 2
+    k2 = (x[:, None] - x[None, :]) / 2
+    ref = np.linalg.det(np.eye(4) - z * momentum_kernel(fam, k1, k2))
+    assert np.max(np.abs(det - ref)) < 1e-13
 
 
 def test_fourier_blocks_small_z_is_identity():
@@ -212,6 +263,18 @@ def test_renewal_consistency_with_direct_simulation(model):
         assert abs(est - weighted_return(series, z)) < 1e-10
 
 
+@settings(deadline=None, max_examples=10)
+@given(
+    st.floats(0.0, math.pi / 2),
+    st.floats(0.0, 1.0),
+    st.sampled_from([Model.BALANCED, Model.CORRELATED]),
+)
+def test_renewal_matches_direct_simulation_property(theta, p, model):
+    params = WalkParams(theta, p, model)
+    est = recurrence_estimate(params, 0.5, n_max=12, grid_n=512)
+    assert abs(est - weighted_return(return_series(params, 44), 0.5)) < 1e-10
+
+
 @pytest.mark.parametrize("model", [Model.BALANCED, Model.CORRELATED])
 def test_symmetry_reduction_equivalence(model):
     params = WalkParams(0.9, 0.4, model)
@@ -271,12 +334,56 @@ def test_z_sweep_propagates_bugs(monkeypatch):
 
 
 def test_linalg_errors_become_typed_errors(monkeypatch):
+    """D at the floor is a SingularKernelError from either D source; a failed
+    solve is a ConditioningError."""
+
     def singular(*_args, **_kwargs):
         raise np.linalg.LinAlgError("Singular matrix")
 
-    monkeypatch.setattr(genfun, "invert_grid_4x4", singular)
-    with pytest.raises(SingularKernelError):
-        recurrence_estimate(WalkParams(0.6, 0.3, Model.CORRELATED), 0.5, 4, 64)
+    with monkeypatch.context() as m:
+        m.setattr(
+            genfun, "determinant_grid", lambda xi, eta, *_: np.zeros((xi.size, eta.size))
+        )
+        with pytest.raises(SingularKernelError):
+            recurrence_estimate(WalkParams(0.6, 0.3), 0.5, 4, 64)
+    with monkeypatch.context() as m:
+        m.setattr(genfun.np.linalg, "det", lambda mats: np.zeros(mats.shape[:-2]))
+        with pytest.raises(SingularKernelError):
+            recurrence_estimate(WalkParams(0.6, 0.3, Model.CORRELATED), 0.5, 4, 64)
     monkeypatch.setattr(genfun.np.linalg, "solve", singular)
     with pytest.raises(ConditioningError):
         recurrence_estimate(WalkParams(0.6, 0.3), 0.5, 4, 64)
+
+
+# ------------------------------------------------ correlated oracles up to Z_CAP
+
+
+def test_correlated_simple_random_walk_limit_up_to_zcap():
+    """p=1, theta=pi/4 is the simple random walk: (1 - sqrt(1 - z^2)) / z."""
+    params = WalkParams(math.pi / 4, 1.0, Model.CORRELATED)
+    for z in DEFAULT_Z_SAMPLES:
+        ref = (1 - math.sqrt(1 - z * z)) / z
+        assert abs(recurrence_estimate(params, z) - ref) < 1e-12
+
+
+@pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
+def test_correlated_pi_half_returns_after_two_steps(p):
+    """At theta=pi/2 every path returns at t=2, so R~_z = z."""
+    params = WalkParams(math.pi / 2, p, Model.CORRELATED)
+    for z in DEFAULT_Z_SAMPLES:
+        assert abs(recurrence_estimate(params, z) - z) < 1e-12
+
+
+@pytest.mark.parametrize("theta", [math.pi / 4, 2 * math.pi / 5])
+def test_correlated_unitary_limit_matches_balanced_near_zcap(theta, monkeypatch):
+    """At p=0 both models are the unitary walk. The correlated family then has
+    the balanced shift blocks and takes the closed-form D; with that shortcut
+    off, the band-4 polynomial D still agrees."""
+    for z in (0.999, 0.9999, Z_CAP):
+        balanced = recurrence_estimate(WalkParams(theta, 0.0), z)
+        correlated = recurrence_estimate(WalkParams(theta, 0.0, Model.CORRELATED), z)
+        assert correlated == balanced
+        with monkeypatch.context() as m:
+            m.setattr(genfun, "_balanced_angles", lambda _family: None)
+            polynomial = recurrence_estimate(WalkParams(theta, 0.0, Model.CORRELATED), z)
+        assert abs(polynomial - balanced) < 1e-6
