@@ -51,14 +51,17 @@ def parse_angle(text: str) -> float:
 
 def parse_list(text: str, convert=float) -> list:
     """Comma list or inclusive 'start:stop:step' range."""
-    if ":" in text:
+    try:
+        if ":" not in text:
+            return [convert(part) for part in text.split(",")]
         start, stop, step = (convert(part) for part in text.split(":"))
-        if step <= 0:
-            raise _UsageError(f"range step must be positive in {text!r}")
-        n = int(round((stop - start) / step))
-        values = [start + i * step for i in range(n + 1)]
-        return [v for v in values if v <= stop + 1e-12]
-    return [convert(part) for part in text.split(",") if part.strip()]
+    except ValueError as exc:
+        raise _UsageError(f"bad list or start:stop:step range {text!r}: {exc}") from exc
+    if step <= 0:
+        raise _UsageError(f"range step must be positive in {text!r}")
+    n = int(round((stop - start) / step))
+    values = [start + i * step for i in range(n + 1)]
+    return [v for v in values if v <= stop + 1e-12]
 
 
 def _fmt(value) -> str:
@@ -282,7 +285,8 @@ def _load_config(path: str) -> dict:
     return config
 
 
-def build_parser() -> _Parser:
+def build_parser(config=None) -> _Parser:
+    """The dtqsw parser; config maps flag names to defaults that flags override."""
     parser = _Parser(prog="dtqsw", description=__doc__)
     parser.add_argument("--config", help="key=value file mirroring the flags")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -335,6 +339,10 @@ def build_parser() -> _Parser:
     p_orc.add_argument("--zvalue", type=float, default=0.999)
     p_orc.add_argument("--pvalue", type=float, default=0.5)
     p_orc.add_argument("--m", default="2,4,6")
+    # argparse converts string defaults with each flag's type
+    for p in sub.choices.values():
+        known = {action.dest for action in p._actions}
+        p.set_defaults(**{k: v for k, v in (config or {}).items() if k in known})
     return parser
 
 
@@ -351,24 +359,13 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        if argv is None:
-            argv = sys.argv[1:]
-        if "--config" in argv:
-            idx = argv.index("--config")
-            config = _load_config(argv[idx + 1])
-            # flags override the file: apply config as parser defaults
-            parser.set_defaults(**config)
-            for p in parser._subparsers._group_actions[0].choices.values():
-                known = {a.dest for a in p._actions}
-                p.set_defaults(**{k: v for k, v in config.items() if k in known})
+        # first pass: --config only; the file's keys are the second pass's defaults
+        pre = _Parser(add_help=False)
+        pre.add_argument("--config")
+        config_path = pre.parse_known_args(argv)[0].config
+        if config_path is not None:
+            parser = build_parser(_load_config(config_path))
         args = parser.parse_args(argv)
-        for key in ("nmax", "grid", "tmax", "jobs", "iterations"):
-            if hasattr(args, key) and isinstance(getattr(args, key), str):
-                setattr(args, key, int(getattr(args, key)))
-        for key in ("z", "zvalue", "pvalue"):
-            if hasattr(args, key) and isinstance(getattr(args, key), str) \
-                    and key != "z":
-                setattr(args, key, float(getattr(args, key)))
         return _COMMANDS[args.command](args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

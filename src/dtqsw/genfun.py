@@ -18,7 +18,8 @@ uniform grid. D comes from the closed form determinant_grid when the
 family has the shift blocks of a standard balanced family (it stays free
 of cancellation where D vanishes to fourth order at p = 1), and for any
 other family from its band-4 coefficients, taken the same way from a
-9 x 9 uniform grid.
+9 x 9 uniform grid. resolvent_kernel evaluates adj(I - zV) / D at one
+momentum pair with D from the same source.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import determinant_grid, invert_grid_4x4
+from ._kernels import determinant_grid
 from .errors import (
     ConditioningError,
     DtqswError,
@@ -48,10 +49,8 @@ from .model import (
 __all__ = [
     "DEFAULT_Z_SAMPLES",
     "Z_CAP",
-    "DeterminantParams",
     "StieltjesMatrix",
     "SweepPoint",
-    "determinant_balanced",
     "adjugate_4x4",
     "resolvent_kernel",
     "fourier_blocks",
@@ -75,30 +74,6 @@ _COND_LIMIT = 1e14
 _DET_FLOOR = 1e-300
 # shift blocks within this of a standard balanced family's select the closed-form D
 _STANDARD_TOL = 1e-14
-
-
-@dataclass(frozen=True)
-class DeterminantParams:
-    """Rotated-coordinate symbols entering the balanced determinant."""
-
-    xi: float
-    eta: float
-    rho_var: float  # 1 - z p cos(xi)
-    sigma_var: float  # z (1 - p)
-
-    @classmethod
-    def from_walk(cls, z: float, p: float, xi: float, eta: float):
-        return cls(
-            xi=xi, eta=eta, rho_var=1.0 - z * p * math.cos(xi), sigma_var=z * (1.0 - p)
-        )
-
-
-def determinant_balanced(dp: DeterminantParams, theta: float) -> float:
-    """Closed form of det(I4 - z V) for the balanced family."""
-    rho, sigma = dp.rho_var, dp.sigma_var
-    cxi, ceta = math.cos(dp.xi), math.cos(dp.eta)
-    bracket = 2 * rho * sigma * (1 - cxi * ceta) - (rho**2 + sigma**2) * (cxi - ceta)
-    return (rho**2 - sigma**2) ** 2 + bracket * 2 * rho * sigma * math.cos(theta) ** 2
 
 
 def adjugate_4x4(mats: np.ndarray) -> np.ndarray:
@@ -137,20 +112,10 @@ def _check_z(z: float) -> float:
 def resolvent_kernel(
     family: TranslationKrausFamily, z: float, k1: float, k2: float
 ) -> np.ndarray:
-    """A(z, k1, k2) = (I4 - z V(k1, k2))^-1 for a single momentum pair.
-
-    Standard balanced families use the adjugate/determinant closed form;
-    every other family a pivoted direct inverse.
-    """
+    """A(z, k1, k2) = (I4 - z V(k1, k2))^-1 = adj(I4 - z V) / D at one momentum pair."""
     z = _check_z(z)
-    v = momentum_kernel(family, k1, k2)
-    m = np.eye(4) - z * v
-    angles = _balanced_angles(family)
-    if angles is None:
-        return invert_grid_4x4(m[None])[0]
-    theta, p = angles
-    dp = DeterminantParams.from_walk(z, p, k1 + k2, k1 - k2)
-    det = determinant_balanced(dp, theta)
+    m = np.eye(4) - z * momentum_kernel(family, k1, k2)
+    det = _determinant_field(family, z, np.array([k1 + k2]), np.array([k1 - k2]))[0, 0]
     if abs(det) < _DET_FLOOR:
         raise SingularKernelError(
             f"determinant {det:.3e} at (k1, k2)=({k1}, {k2}), z={z}"
@@ -211,19 +176,19 @@ def _uniform_coefficients(family, z, n_u, transform):
     return np.fft.fft2(transform(np.eye(4) - z * v), axes=(0, 1)) / n_u**2
 
 
-def _determinant_field(family, z, x):
-    """D = det(I - zV) on the (xi, eta) = (x, x) product grid."""
+def _determinant_field(family, z, xi, eta):
+    """D = det(I - zV) on the (xi, eta) product grid."""
     angles = _balanced_angles(family)
     if angles is not None:
         theta, p = angles
-        return determinant_grid(x, x, z, p, theta)
+        return determinant_grid(xi, eta, z, p, theta)
     # 2 * band + 1 samples per axis: 8 would alias the +-4 harmonics
     n_u = 2 * _DET_BAND + 1
     coeffs = _uniform_coefficients(family, z, n_u, np.linalg.det)
     harmonics = np.arange(-_DET_BAND, _DET_BAND + 1)
     band = coeffs[np.ix_(harmonics % n_u, harmonics % n_u)]
-    phases = np.exp(1j * np.outer(x, harmonics))
-    return phases @ band @ phases.T
+    phases = [np.exp(1j * np.outer(axis, harmonics)) for axis in (xi, eta)]
+    return phases[0] @ band @ phases[1].T
 
 
 def _harmonics(family, z, n_max, grid_n):
@@ -233,7 +198,7 @@ def _harmonics(family, z, n_max, grid_n):
     attached by discrete convolution with their (small) Laurent bands.
     """
     x, w = _subst_grid(grid_n)
-    det = _determinant_field(family, z, x)
+    det = _determinant_field(family, z, x, x)
     small = np.min(np.abs(det))
     if small < _DET_FLOOR:
         raise SingularKernelError(f"determinant reached {small:.3e} on the grid")
@@ -322,29 +287,17 @@ def stieltjes_matrix(
     return StieltjesMatrix(z=z, n_max=n_max, positions=positions, matrix=mat)
 
 
-def _transpose_pair_index(positions, i):
-    """Index of the transpose partner of basis element i: (c,c',x,m)->(c',c,m,x)."""
-    pos, pair = divmod(i, 4)
-    x, m = positions[pos]
-    c, cp = divmod(pair, 2)
-    return 4 * positions.index((m, x)) + 2 * cp + c
-
-
 def recurrence_estimate(
     params: WalkParams,
     z: float,
     n_max: int = 20,
     grid_n: int = 1024,
-    symmetry_reduction: bool = False,
 ) -> float:
     """R~_z from the renewal equation, traced against rho0 = |R,0><R,0|.
 
     Solves s(z) w = e_(R,R,0,0) with a pivoted solve and returns
     (1 - w_(R,R,0,0) - w_(L,L,0,0)) / z. The initial coin choice is WLOG
     by coin-state independence.
-
-    With symmetry_reduction=True the solve runs on the transpose-symmetric
-    half of the cross basis (dimension 83 at n_max=20 instead of 164).
     """
     z = _check_z(z)
     family = kraus_family(params)
@@ -354,35 +307,15 @@ def recurrence_estimate(
     i_ll = s.basis_index(3, 0, 0)
     rhs[i_rr] = 1.0
 
-    mat = s.matrix
-    if symmetry_reduction:
-        basis_map = np.array(
-            [_transpose_pair_index(s.positions, i) for i in range(s.dim)]
-        )
-        cols = []
-        for i in range(s.dim):
-            j = basis_map[i]
-            if j < i:
-                continue
-            col = np.zeros(s.dim)
-            if j == i:
-                col[i] = 1.0
-            else:
-                col[i] = col[j] = 1.0 / math.sqrt(2)
-            cols.append(col)
-        b = np.array(cols).T  # (dim, reduced)
-        mat, rhs = b.T @ s.matrix @ b, b.T @ rhs
     try:
-        cond = np.linalg.cond(mat)
+        cond = np.linalg.cond(s.matrix)
         if cond > _COND_LIMIT:
             raise ConditioningError(
                 f"condition estimate {cond:.3e} at z={z}, n_max={n_max}"
             )
-        w = np.linalg.solve(mat, rhs)
+        w = np.linalg.solve(s.matrix, rhs)
     except np.linalg.LinAlgError as exc:
         raise ConditioningError(f"solve failed at z={z}, n_max={n_max}: {exc}") from exc
-    if symmetry_reduction:
-        w = b @ w
 
     value = (1.0 - w[i_rr] - w[i_ll]) / z
     return float(value.real)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,7 +86,7 @@ def general_coin(theta: float, phi: float, alpha: float, beta: float) -> np.ndar
 
 @dataclass(frozen=True)
 class TranslationKraus:
-    """Position-homogeneous operator: sum of (2x2 coin block) x (integer shift)."""
+    """Position-homogeneous operator: sum of (2x2 coin block) x (shift +-1)."""
 
     terms: tuple  # of (ndarray(2,2), int)
 
@@ -94,8 +94,8 @@ class TranslationKraus:
         clean = []
         for block, shift in self.terms:
             shift = int(shift)
-            if shift not in (-1, 0, 1):
-                raise ParameterError(f"unsupported shift {shift}")
+            if shift not in (-1, 1):
+                raise ParameterError(f"shift {shift}: every term must step +-1")
             clean.append((np.asarray(block), shift))
         object.__setattr__(self, "terms", tuple(clean))
 
@@ -115,7 +115,6 @@ class TranslationKraus:
 @dataclass(frozen=True)
 class TranslationKrausFamily:
     kraus: tuple  # of TranslationKraus
-    label: str = field(default="")
 
     @property
     def is_real(self) -> bool:
@@ -159,7 +158,7 @@ def balanced_family_from_coin(coin: np.ndarray, p: float) -> TranslationKrausFam
     w = math.sqrt(p / 2)
     e1 = TranslationKraus(((w * np.eye(2), +1),))
     e2 = TranslationKraus(((w * np.eye(2), -1),))
-    return TranslationKrausFamily((e0, e1, e2), label="balanced")
+    return TranslationKrausFamily((e0, e1, e2))
 
 
 def kraus_balanced(params: WalkParams) -> TranslationKrausFamily:
@@ -185,7 +184,7 @@ def kraus_correlated(params: WalkParams) -> TranslationKrausFamily:
         block = np.zeros((2, 2))
         block[u, v] = sp * coin[u, v]
         ops.append(TranslationKraus(((block, 1 - 2 * u),)))
-    return TranslationKrausFamily(tuple(ops), label="correlated")
+    return TranslationKrausFamily(tuple(ops))
 
 
 def kraus_family(params: WalkParams) -> TranslationKrausFamily:

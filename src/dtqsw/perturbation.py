@@ -50,10 +50,8 @@ def _shift_state(psi: np.ndarray, shift: int) -> np.ndarray:
     out = np.zeros_like(psi)
     if shift > 0:
         out[:, shift:] = psi[:, :-shift]
-    elif shift < 0:
-        out[:, :shift] = psi[:, -shift:]
     else:
-        out[:] = psi
+        out[:, :shift] = psi[:, -shift:]
     return out
 
 

@@ -26,7 +26,8 @@ from dtqsw import (
     weighted_return,
     z_sweep,
 )
-from dtqsw.genfun import DEFAULT_Z_SAMPLES, DeterminantParams, determinant_balanced
+from dtqsw._kernels import determinant_grid
+from dtqsw.genfun import DEFAULT_Z_SAMPLES
 from dtqsw.model import balanced_family_from_coin, general_coin
 from dtqsw.oracles import pi_half_weighted_return, recurrence_unitary
 from dtqsw.perturbation import slope_balanced
@@ -228,8 +229,8 @@ def test_acceptance_11_property_suites():
         z, k1, k2 = rng.uniform(0.1, 0.99), *rng.uniform(0, 2 * np.pi, 2)
         fam = kraus_family(WalkParams(theta, p))
         ref = np.linalg.det(np.eye(4) - z * momentum_kernel(fam, k1, k2)).real
-        dp = DeterminantParams.from_walk(z, p, k1 + k2, k1 - k2)
-        worst_det = max(worst_det, abs(determinant_balanced(dp, theta) - ref))
+        det = determinant_grid(np.array([k1 + k2]), np.array([k1 - k2]), z, p, theta)
+        worst_det = max(worst_det, abs(det[0, 0] - ref))
     checks["determinant<1e-12"] = worst_det < 1e-12
 
     ok = all(checks.values())

@@ -179,6 +179,44 @@ def test_config_file_defaults_and_flag_override(capsys, tmp_path):
     assert out.strip().splitlines()[1].split(",")[4] == "6"
 
 
+def test_config_equals_form_is_read(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("nmax=4\ngrid=64\n")
+    code, out, _ = run_cli(capsys, f"--config={cfg}", "recur", "--theta", "0.25pi",
+                           "--p", "0.5", "--z", "0.5")
+    assert code == 0
+    row = out.strip().splitlines()[1].split(",")
+    assert row[4] == "4" and row[5] == "64"
+
+
+def test_config_without_path_is_usage_error(capsys):
+    code, _, err = run_cli(capsys, "--config")
+    assert code == 1 and "--config" in err
+
+
+def test_config_values_reach_commands_as_numbers(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("zvalue=0.9\npvalue=0.3\n")
+    code, out, _ = run_cli(capsys, "--config", str(cfg), "oracle", "--which", "pihalf")
+    assert code == 0
+    assert out.strip().splitlines()[1].startswith("0.9,0.3,")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["recur", "--theta", "abc", "--p", "0.5"],
+        ["recur", "--theta", "0.25pi", "--p", "0:1"],
+        ["slope", "--theta", "0.25pi", "--t", "x"],
+        ["slope", "--theta", "0.25pi", "--t", ","],
+    ],
+    ids=["angle", "range-shape", "int", "empty"],
+)
+def test_malformed_list_is_usage_error(capsys, argv):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 1 and "error" in err
+
+
 def test_config_missing_file(capsys):
     code, _, err = run_cli(capsys, "--config", "/nonexistent.cfg",
                            "recur", "--theta", "0.25pi", "--p", "0.5")

@@ -27,16 +27,14 @@ from dtqsw.errors import (
     ParameterError,
     SingularKernelError,
 )
+from dtqsw._kernels import determinant_grid, invert_grid_4x4
 from dtqsw.genfun import (
     DEFAULT_Z_SAMPLES,
-    DeterminantParams,
     Z_CAP,
     _determinant_field,
     _subst_grid,
     adjugate_4x4,
     cross_basis,
-    determinant_balanced,
-    _transpose_pair_index,
 )
 from dtqsw.model import balanced_family_from_coin
 
@@ -54,16 +52,9 @@ def test_determinant_closed_form_vs_brute_force():
         k1, k2 = RNG.uniform(0, 2 * np.pi, 2)
         fam = kraus_family(WalkParams(theta, p))
         det_ref = np.linalg.det(np.eye(4) - z * momentum_kernel(fam, k1, k2))
-        dp = DeterminantParams.from_walk(z, p, k1 + k2, k1 - k2)
-        det = determinant_balanced(dp, theta)
-        assert abs(det - det_ref.real) < 1e-12 * max(1.0, abs(det_ref))
+        det = determinant_grid(np.array([k1 + k2]), np.array([k1 - k2]), z, p, theta)
+        assert abs(det[0, 0] - det_ref.real) < 1e-12 * max(1.0, abs(det_ref))
         assert abs(det_ref.imag) < 1e-12
-
-
-def test_determinant_params_fields():
-    dp = DeterminantParams.from_walk(0.8, 0.3, 1.0, 2.0)
-    assert dp.rho_var == pytest.approx(1 - 0.8 * 0.3 * math.cos(1.0))
-    assert dp.sigma_var == pytest.approx(0.8 * 0.7)
 
 
 def test_adjugate_vs_inverse_times_det():
@@ -75,7 +66,7 @@ def test_adjugate_vs_inverse_times_det():
 
 @pytest.mark.parametrize("model", [Model.BALANCED, Model.CORRELATED])
 def test_resolvent_kernel_inverts(model):
-    """A(z,k1,k2)(I - zV) = I on both code paths (adjugate and pivoted)."""
+    """A(z,k1,k2)(I - zV) = I with both D sources (closed form and polynomial)."""
     for _ in range(50):
         theta = RNG.uniform(0, math.pi / 2)
         p = RNG.uniform(0, 1)
@@ -88,18 +79,17 @@ def test_resolvent_kernel_inverts(model):
 
 
 def test_resolvent_dual_paths_agree():
-    """The balanced adjugate shortcut equals a plain pivoted inverse."""
-    from dtqsw._kernels import invert_grid_4x4
-
-    for _ in range(100):
+    """adj(I - zV) / D matches a pivoted inverse up to Z_CAP, with either D source."""
+    for model in [Model.BALANCED, Model.CORRELATED] * 100:
         theta = RNG.uniform(0, math.pi / 2)
         p = RNG.uniform(0, 1)
-        z = RNG.uniform(0.05, 0.99)
+        z = RNG.uniform(0.05, Z_CAP)
         k1, k2 = RNG.uniform(0, 2 * np.pi, 2)
-        fam = kraus_family(WalkParams(theta, p))
+        fam = kraus_family(WalkParams(theta, p, model))
         a = resolvent_kernel(fam, z, k1, k2)
         m = np.eye(4) - z * momentum_kernel(fam, k1, k2)
-        assert np.max(np.abs(a - invert_grid_4x4(m[None])[0])) < 1e-10
+        ref = invert_grid_4x4(m[None])[0]
+        assert np.max(np.abs(a - ref)) < 1e-10 * max(1.0, np.max(np.abs(ref)))
 
 
 # -------------------------------------------------------------- Fourier blocks
@@ -158,7 +148,7 @@ def test_determinant_field_vs_pointwise_determinant(fam):
     """The closed form and the band-4 polynomial both give det(I - zV) at the nodes."""
     z = 0.999
     x, _ = _subst_grid(16)
-    det = _determinant_field(fam, z, x)
+    det = _determinant_field(fam, z, x, x)
     k1 = (x[:, None] + x[None, :]) / 2
     k2 = (x[:, None] - x[None, :]) / 2
     ref = np.linalg.det(np.eye(4) - z * momentum_kernel(fam, k1, k2))
@@ -236,10 +226,17 @@ def test_stieltjes_transpose_symmetry_and_reality():
     fam = kraus_family(WalkParams(1.1, 0.6))
     s = stieltjes_matrix(fam, 0.8, 4, grid_n=256)
     assert np.max(np.abs(s.matrix.imag)) < 1e-12
+
+    def transpose_index(i):
+        """Basis index of the transpose partner: (c, c', x, m) -> (c', c, m, x)."""
+        pos, pair = divmod(i, 4)
+        x, m = s.positions[pos]
+        c, cp = divmod(pair, 2)
+        return s.basis_index(2 * cp + c, m, x)
+
     for i in range(s.dim):
         for j in range(s.dim):
-            ti = _transpose_pair_index(s.positions, i)
-            tj = _transpose_pair_index(s.positions, j)
+            ti, tj = transpose_index(i), transpose_index(j)
             assert abs(s.matrix[i, j] - s.matrix[ti, tj]) < 1e-12
 
 
@@ -273,28 +270,6 @@ def test_renewal_matches_direct_simulation_property(theta, p, model):
     params = WalkParams(theta, p, model)
     est = recurrence_estimate(params, 0.5, n_max=12, grid_n=512)
     assert abs(est - weighted_return(return_series(params, 44), 0.5)) < 1e-10
-
-
-@pytest.mark.parametrize("model", [Model.BALANCED, Model.CORRELATED])
-def test_symmetry_reduction_equivalence(model):
-    params = WalkParams(0.9, 0.4, model)
-    full = recurrence_estimate(params, 0.9, n_max=8, grid_n=256)
-    reduced = recurrence_estimate(
-        params, 0.9, n_max=8, grid_n=256, symmetry_reduction=True
-    )
-    assert abs(full - reduced) < 1e-12
-
-
-def test_symmetry_reduction_dimension_count():
-    # orbits of the transpose involution J: 2 fixed points (RR00, LL00)
-    # plus 81 two-element orbits, so 164 -> 83 at the default truncation
-    positions = cross_basis(20)
-    dim = 4 * len(positions)
-    fixed = sum(
-        1 for i in range(dim) if _transpose_pair_index(positions, i) == i
-    )
-    assert fixed == 2
-    assert fixed + (dim - fixed) // 2 == 83
 
 
 def test_grid_refinement_stability():

@@ -15,7 +15,11 @@ from dtqsw import (
     momentum_kernel,
 )
 from dtqsw.errors import ParameterError, UnsupportedFamilyError
-from dtqsw.model import balanced_family_from_coin, unitary_step_momentum
+from dtqsw.model import (
+    TranslationKraus,
+    balanced_family_from_coin,
+    unitary_step_momentum,
+)
 
 K_GRID = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)
 
@@ -157,3 +161,15 @@ def test_walk_params_validation():
         WalkParams(0.5, 1.5)
     with pytest.raises(ParameterError):
         WalkParams(-0.5, 0.5)
+
+
+
+@pytest.mark.parametrize("shift", [0, 2])
+def test_translation_kraus_rejects_non_unit_shift(shift):
+    """genfun keeps only even offsets, so every term must step by +-1.
+
+    A lazy walk (stay with amplitude sqrt(1/2), step +-1 with amplitude 1/2)
+    is trace preserving but has odd-offset blocks that genfun never computes.
+    """
+    with pytest.raises(ParameterError):
+        TranslationKraus(((np.eye(2) / math.sqrt(2), shift),))
