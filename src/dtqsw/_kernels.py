@@ -1,8 +1,8 @@
 """Grid kernels of the generating-function route, in numpy.
 
 USING_NUMBA is always False: the kernels have no compiled variant. The
-name stays because the benchmark's provenance record reads it. No route
-calls invert_grid_4x4; the tests use it as the reference inverse.
+name stays because the benchmark's provenance record reads it. invert_grid_4x4
+is the pointwise resolvent's inverse; the quadrature never inverts.
 """
 
 from __future__ import annotations

@@ -53,7 +53,10 @@ def parse_list(text: str, convert=float) -> list:
     """Comma list or inclusive 'start:stop:step' range."""
     try:
         if ":" not in text:
-            return [convert(part) for part in text.split(",")]
+            values = [convert(part) for part in text.split(",") if part.strip()]
+            if not values:
+                raise _UsageError(f"empty list {text!r}")
+            return values
         start, stop, step = (convert(part) for part in text.split(":"))
     except ValueError as exc:
         raise _UsageError(f"bad list or start:stop:step range {text!r}: {exc}") from exc
@@ -287,7 +290,7 @@ def _load_config(path: str) -> dict:
 
 def build_parser(config=None) -> _Parser:
     """The dtqsw parser; config maps flag names to defaults that flags override."""
-    parser = _Parser(prog="dtqsw", description=__doc__)
+    parser = _Parser(prog="dtqsw", description=__doc__, allow_abbrev=False)
     parser.add_argument("--config", help="key=value file mirroring the flags")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -360,7 +363,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         # first pass: --config only; the file's keys are the second pass's defaults
-        pre = _Parser(add_help=False)
+        pre = _Parser(add_help=False, allow_abbrev=False)
         pre.add_argument("--config")
         config_path = pre.parse_known_args(argv)[0].config
         if config_path is not None:

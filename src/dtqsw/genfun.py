@@ -18,8 +18,8 @@ uniform grid. D comes from the closed form determinant_grid when the
 family has the shift blocks of a standard balanced family (it stays free
 of cancellation where D vanishes to fourth order at p = 1), and for any
 other family from its band-4 coefficients, taken the same way from a
-9 x 9 uniform grid. resolvent_kernel evaluates adj(I - zV) / D at one
-momentum pair with D from the same source.
+9 x 9 uniform grid. resolvent_kernel, the pointwise resolvent at one
+momentum pair, is a pivoted 4 x 4 inverse for every family.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import determinant_grid
+from ._kernels import determinant_grid, invert_grid_4x4
 from .errors import (
     ConditioningError,
     DtqswError,
@@ -112,15 +112,15 @@ def _check_z(z: float) -> float:
 def resolvent_kernel(
     family: TranslationKrausFamily, z: float, k1: float, k2: float
 ) -> np.ndarray:
-    """A(z, k1, k2) = (I4 - z V(k1, k2))^-1 = adj(I4 - z V) / D at one momentum pair."""
+    """A(z, k1, k2) = (I4 - z V(k1, k2))^-1 at one momentum pair, by a pivoted inverse."""
     z = _check_z(z)
     m = np.eye(4) - z * momentum_kernel(family, k1, k2)
-    det = _determinant_field(family, z, np.array([k1 + k2]), np.array([k1 - k2]))[0, 0]
-    if abs(det) < _DET_FLOOR:
+    try:
+        return invert_grid_4x4(m[None])[0]
+    except np.linalg.LinAlgError as exc:
         raise SingularKernelError(
-            f"determinant {det:.3e} at (k1, k2)=({k1}, {k2}), z={z}"
-        )
-    return adjugate_4x4(m) / det
+            f"I - zV is singular at (k1, k2)=({k1}, {k2}), z={z}: {exc}"
+        ) from exc
 
 
 def _balanced_angles(family: TranslationKrausFamily) -> tuple[float, float] | None:
@@ -176,19 +176,19 @@ def _uniform_coefficients(family, z, n_u, transform):
     return np.fft.fft2(transform(np.eye(4) - z * v), axes=(0, 1)) / n_u**2
 
 
-def _determinant_field(family, z, xi, eta):
-    """D = det(I - zV) on the (xi, eta) product grid."""
+def _determinant_field(family, z, x):
+    """D = det(I - zV) on the (xi, eta) = (x, x) product grid."""
     angles = _balanced_angles(family)
     if angles is not None:
         theta, p = angles
-        return determinant_grid(xi, eta, z, p, theta)
+        return determinant_grid(x, x, z, p, theta)
     # 2 * band + 1 samples per axis: 8 would alias the +-4 harmonics
     n_u = 2 * _DET_BAND + 1
     coeffs = _uniform_coefficients(family, z, n_u, np.linalg.det)
     harmonics = np.arange(-_DET_BAND, _DET_BAND + 1)
     band = coeffs[np.ix_(harmonics % n_u, harmonics % n_u)]
-    phases = [np.exp(1j * np.outer(axis, harmonics)) for axis in (xi, eta)]
-    return phases[0] @ band @ phases[1].T
+    phases = np.exp(1j * np.outer(x, harmonics))
+    return phases @ band @ phases.T
 
 
 def _harmonics(family, z, n_max, grid_n):
@@ -198,7 +198,7 @@ def _harmonics(family, z, n_max, grid_n):
     attached by discrete convolution with their (small) Laurent bands.
     """
     x, w = _subst_grid(grid_n)
-    det = _determinant_field(family, z, x, x)
+    det = _determinant_field(family, z, x)
     small = np.min(np.abs(det))
     if small < _DET_FLOOR:
         raise SingularKernelError(f"determinant reached {small:.3e} on the grid")

@@ -22,6 +22,7 @@ def test_parse_list():
     assert parse_list("0.1,0.5,0.9") == [0.1, 0.5, 0.9]
     assert parse_list("0:1:0.25") == pytest.approx([0.0, 0.25, 0.5, 0.75, 1.0])
     assert parse_list("2,4", int) == [2, 4]
+    assert parse_list("2,,6,", int) == [2, 6]
 
 
 def test_recur_csv_shape_and_order(capsys):
@@ -214,6 +215,16 @@ def test_config_values_reach_commands_as_numbers(capsys, tmp_path):
 )
 def test_malformed_list_is_usage_error(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
+    assert code == 1 and "error" in err
+
+
+def test_config_prefix_is_not_config(capsys):
+    """A prefix of --config is left to the subcommand (here evolve's --coin),
+    and before the subcommand it is a usage error, not an ignored file."""
+    evolve = ["evolve", "--theta", "0.25pi", "--p", "0", "--tmax", "2"]
+    code, out, _ = run_cli(capsys, *evolve, "--co", "mixed")
+    assert code == 0 and out.strip().splitlines()[1]
+    code, _, err = run_cli(capsys, "--conf", "run.cfg", *evolve)
     assert code == 1 and "error" in err
 
 
