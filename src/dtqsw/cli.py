@@ -97,10 +97,9 @@ def _check_bounds(values, name, lo, hi):
             raise _UsageError(f"{name}={v} outside [{lo}, {hi}]")
 
 
-def _recur_point(args):
-    model, theta, p, z, nmax, grid = args
-    params = WalkParams(theta, p, Model(model))
-    return genfun.recurrence_estimate(params, z, n_max=nmax, grid_n=grid)
+def _recur_point(point) -> genfun.SweepPoint:
+    model, theta, p, z, nmax, grid = point
+    return genfun.z_sweep(WalkParams(theta, p, Model(model)), [z], nmax, grid)[0]
 
 
 def cmd_recur(args) -> int:
@@ -118,24 +117,16 @@ def cmd_recur(args) -> int:
     ]
     if args.jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(args.jobs) as pool:
-            results = list(pool.map(_try_point, points))
+            results = list(pool.map(_recur_point, points))
     else:
-        results = [_try_point(pt) for pt in points]
+        results = [_recur_point(pt) for pt in points]
 
     lines = [CSV_HEADER]
-    failed = False
-    for (model, theta, p, z, nmax, grid), (value, err) in zip(points, results):
-        failed = failed or bool(err)
-        lines.append(_row(model, theta, p, z, nmax, grid, "rtilde", None, value, err))
+    for (model, theta, p, z, nmax, grid), res in zip(points, results):
+        lines.append(_row(model, theta, p, z, nmax, grid, "rtilde", None, res.value,
+                          res.error))
     _emit(lines, args.out)
-    return 2 if failed else 0
-
-
-def _try_point(point):
-    try:
-        return _recur_point(point), ""
-    except DtqswError as exc:
-        return float("nan"), f"{type(exc).__name__}: {exc}"
+    return 2 if any(res.error for res in results) else 0
 
 
 _COIN_DENSITIES = {
@@ -294,9 +285,10 @@ def build_parser(config=None) -> _Parser:
     parser.add_argument("--config", help="key=value file mirroring the flags")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--model", choices=["balanced", "correlated"],
-                       default="balanced")
+    def common(p, model=True):
+        if model:
+            p.add_argument("--model", choices=["balanced", "correlated"],
+                           default="balanced")
         p.add_argument("--out", help="output CSV path (default stdout)")
 
     p_recur = sub.add_parser("recur", help="generating-function recurrence sweep")
@@ -321,7 +313,7 @@ def build_parser(config=None) -> _Parser:
     p_slope.add_argument("--t", required=True)
 
     p_fit = sub.add_parser("fit", help="power-law fit of a recur CSV")
-    common(p_fit)
+    common(p_fit, model=False)
     p_fit.add_argument("--input", required=True)
     p_fit.add_argument("--form", choices=["aminusb", "oneminusb"],
                        default="aminusb")
@@ -335,7 +327,7 @@ def build_parser(config=None) -> _Parser:
     p_min.add_argument("--iterations", type=int, default=15)
 
     p_orc = sub.add_parser("oracle", help="closed-form reference values")
-    common(p_orc)
+    common(p_orc, model=False)
     p_orc.add_argument("--which", choices=["eq20", "pihalf", "catalan"],
                        required=True)
     p_orc.add_argument("--theta", default="0.25pi")
@@ -343,9 +335,13 @@ def build_parser(config=None) -> _Parser:
     p_orc.add_argument("--pvalue", type=float, default=0.5)
     p_orc.add_argument("--m", default="2,4,6")
     # argparse converts string defaults with each flag's type
-    for p in sub.choices.values():
-        known = {action.dest for action in p._actions}
-        p.set_defaults(**{k: v for k, v in (config or {}).items() if k in known})
+    config = config or {}
+    known = {p: {action.dest for action in p._actions} for p in sub.choices.values()}
+    unknown = set(config).difference(*known.values())
+    if unknown:
+        raise _UsageError(f"unknown config key(s): {', '.join(sorted(unknown))}")
+    for p, dests in known.items():
+        p.set_defaults(**{k: v for k, v in config.items() if k in dests})
     return parser
 
 

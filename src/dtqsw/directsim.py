@@ -99,14 +99,16 @@ def _span(shift: int, n: int) -> slice:
     return slice(max(shift, 0), n + min(shift, 0))
 
 
-def _apply_cptp(rho: np.ndarray, family: TranslationKrausFamily) -> np.ndarray:
-    """sum_j E_j rho E_j^dag on a (2, n, 2, n) array; nothing wraps around."""
-    out = np.zeros_like(rho)
+def _apply_cptp(rho: np.ndarray, family: TranslationKrausFamily, out=None):
+    """sum_j E_j rho E_j^dag on a (2, n, 2, n) array, added into out (default zeros);
+    nothing wraps around. One output coin pair at a time: a quarter-size temporary."""
+    out = np.zeros_like(rho) if out is None else out
     n = rho.shape[1]
     for (s, s2), m in shift_blocks(family).items():
         src = rho[:, _span(-s, n), :, _span(-s2, n)]
         dst = out[:, _span(s, n), :, _span(s2, n)]  # a view: += adds in place
-        dst += np.einsum("abcd,cxdy->axby", m.reshape(2, 2, 2, 2), src)
+        for a, b in np.ndindex(2, 2):
+            dst[a, :, b] += np.einsum("cd,cxdy->xy", m.reshape(2, 2, 2, 2)[a, b], src)
     return out
 
 
@@ -126,9 +128,8 @@ def step_monitored(
         )
     o = state.origin
     cone = slice(o - t, o + t + 1)
-    inner = _apply_cptp(state.rho[:, cone, :, cone], family)
     rho = np.zeros_like(state.rho)
-    rho[:, cone, :, cone] = inner
+    _apply_cptp(state.rho[:, cone, :, cone], family, rho[:, cone, :, cone])
     absorbed = float((rho[0, o, 0, o] + rho[1, o, 1, o]).real)
     rho[:, o, :, :] = 0.0
     rho[:, :, :, o] = 0.0
@@ -143,12 +144,12 @@ def step_monitored(
 def _evolution_bytes(t_max: int) -> int:
     """Peak bytes of return_series(t_max), the figure its ResourceError guards.
 
-    A step holds three state-size arrays at once (the old state, the light-cone
-    result of _apply_cptp or one block contraction, the new state) plus numpy's
-    buffers for the strided adds, which stay under 1 MiB.
+    A step holds the old state, the new state and one coin pair of a block
+    contraction (a quarter state) at once, plus numpy's buffers for the strided
+    adds, which stay under 1 MiB.
     """
     dim = 2 * (2 * (t_max + 1) + 1)
-    return 3 * dim * dim * 16 + (1 << 20)
+    return 9 * dim * dim * 16 // 4 + (1 << 20)
 
 
 def return_series(

@@ -3,7 +3,9 @@
 Works entirely with pure states: the unperturbed dynamics is the
 monitored unitary walk, and each first-order term compares the surviving
 norm of the unperturbed trajectory with branch trajectories where one
-classical Kraus operator was inserted at step k.
+classical Kraus operator was inserted at step k. Every operator comes
+from model.kraus_family and is applied by _apply, the pure-state twin of
+directsim._apply_cptp; slope_series steps all branch states as one stack.
 """
 
 from __future__ import annotations
@@ -13,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .directsim import _span
 from .errors import BracketError, ParameterError
-from .model import Model, WalkParams, coin_matrix, kraus_family
+from .model import Model, TranslationKraus, WalkParams, kraus_family
 
 __all__ = [
     "MonitoredTrajectory",
@@ -31,28 +34,25 @@ __all__ = [
 # R_t(p) fail to converge uniformly near p = 0 there. Surfaced by the CLI.
 NONUNIFORM_THETA_WARNING = 0.45 * math.pi
 
+# Branch states per _apply call in slope_series. Whole-stack temporaries grew
+# the heap to several times the stack, and the heap kept that after the call.
+_CHUNK = 64
 
-def _unitary_step(psi: np.ndarray, coin: np.ndarray) -> np.ndarray:
-    """Apply U = S (C x I) to a (2, P) amplitude array, zero-fill shifts."""
-    mixed = coin @ psi
-    out = np.zeros_like(psi)
-    out[0, 1:] = mixed[0, :-1]  # R component shifts right
-    out[1, :-1] = mixed[1, 1:]  # L component shifts left
+
+def _apply(op: TranslationKraus, psi: np.ndarray) -> np.ndarray:
+    """op on amplitudes of shape (2, ..., P), coin axis first; nothing wraps around."""
+    n = psi.shape[-1]
+    flat = psi.reshape(2, -1)
+    out = np.zeros(psi.shape, np.result_type(psi, *(block for block, _ in op.terms)))
+    for block, shift in op.terms:
+        moved = (block @ flat).reshape(psi.shape)
+        out[..., _span(shift, n)] += moved[..., _span(-shift, n)]
     return out
 
 
 def _project_origin(psi: np.ndarray, origin: int) -> np.ndarray:
-    psi[:, origin] = 0.0
+    psi[..., origin] = 0.0
     return psi
-
-
-def _shift_state(psi: np.ndarray, shift: int) -> np.ndarray:
-    out = np.zeros_like(psi)
-    if shift > 0:
-        out[:, shift:] = psi[:, :-shift]
-    else:
-        out[:, :shift] = psi[:, -shift:]
-    return out
 
 
 @dataclass
@@ -71,22 +71,23 @@ class MonitoredTrajectory:
 def monitored_trajectory(
     theta: float, t_max: int, coin_state=None
 ) -> MonitoredTrajectory:
-    """Monitored pure-state evolution (pi0' U)^k from the origin."""
+    """Monitored pure-state evolution (pi0' U)^k from the origin; complex only
+    for a complex coin_state."""
     if t_max < 1:
         raise ParameterError("t_max must be >= 1")
     if coin_state is None:
-        coin_state = np.array([1.0, 0.0])
-    coin_state = np.asarray(coin_state, dtype=complex)
+        coin_state = [1.0, 0.0]
+    coin_state = np.asarray(coin_state)
+    coin_state = coin_state.astype(complex if np.iscomplexobj(coin_state) else float)
     if abs(np.vdot(coin_state, coin_state) - 1.0) > 1e-12:
         raise ParameterError("coin state must be normalized")
     half = t_max + 1
-    p_dim = 2 * half + 1
-    coin = coin_matrix(theta)
-    psi = np.zeros((2, p_dim), dtype=complex)
+    step = kraus_family(WalkParams(theta, 0.0)).kraus[0]  # U = S (C x I)
+    psi = np.zeros((2, 2 * half + 1), dtype=coin_state.dtype)
     psi[:, half] = coin_state
     states = [psi]
     for _ in range(t_max):
-        psi = _project_origin(_unitary_step(psi, coin), half)
+        psi = _project_origin(_apply(step, psi), half)
         states.append(psi)
     return MonitoredTrajectory(theta=theta, states=states)
 
@@ -99,33 +100,34 @@ class SlopeSeries:
 
 
 def slope_series(theta: float, t_max: int, model: Model = Model.BALANCED) -> SlopeSeries:
-    """B_t = R_t'(p=0) for every t up to t_max in one pass.
+    """B_t = R_t'(p=0) for every t up to t_max in one stacked pass.
 
-    Each branch state spawned at step k is evolved monitored to t_max,
-    recording its norm at every intermediate step, so all B_t come out of
-    a single O(t_max^2) sweep.
+    B_t = t S_t - ||stack||^2, where the stack (2, branch, P) holds every
+    branch state spawned so far: step t applies U and the origin projection
+    to the whole stack, _CHUNK states per call, then appends P E_j v_{t-1}
+    for each classical E_j. Coin, Kraus blocks and start are real, so the
+    stack is float64: half the memory of a complex one.
     """
-    if isinstance(model, str):
-        model = Model(model)
     traj = monitored_trajectory(theta, t_max)
     origin = traj.origin
-    coin = coin_matrix(theta)
     survival = traj.survival()
+    step = kraus_family(WalkParams(theta, 0.0)).kraus[0]
     # the classical Kraus operators at unit weight (p = 1, coined operator dropped)
-    branches = kraus_family(WalkParams(theta, 1.0, model)).kraus[1:]
+    params = WalkParams(theta, 1.0, model)
+    branches = kraus_family(params).kraus[1:]
 
-    # acc[t] accumulates the (negative) branch norms contributing to B_t
-    acc = np.zeros(t_max + 1)
-    for k, v in enumerate(traj.states[:t_max]):
-        for op in branches:
-            w = sum(_shift_state(block @ v, shift) for block, shift in op.terms)
-            w = _project_origin(w, origin)
-            acc[k + 1] -= np.vdot(w, w).real
-            for t in range(k + 2, t_max + 1):
-                w = _project_origin(_unitary_step(w, coin), origin)
-                acc[t] -= np.vdot(w, w).real
-    values = np.array([t * survival[t] + acc[t] for t in range(1, t_max + 1)])
-    return SlopeSeries(theta=theta, model=model, values=values)
+    stack = np.zeros((2, len(branches) * t_max, 2 * origin + 1))
+    values = np.empty(t_max)
+    for t, v in enumerate(traj.states[:t_max], start=1):
+        live = len(branches) * (t - 1)
+        for i in range(0, live, _CHUNK):
+            part = stack[:, i:min(i + _CHUNK, live)]
+            part[...] = _apply(step, part)
+        for j, op in enumerate(branches):
+            stack[:, live + j] = _apply(op, v)
+        _project_origin(stack, origin)
+        values[t - 1] = t * survival[t] - np.vdot(stack, stack)
+    return SlopeSeries(theta=theta, model=params.model, values=values)
 
 
 def slope_balanced(theta: float, t: int) -> float:

@@ -218,6 +218,32 @@ def test_malformed_list_is_usage_error(capsys, argv):
     assert code == 1 and "error" in err
 
 
+def test_unknown_config_key_is_usage_error(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("nmx=4\ngrid=64\n")
+    code, out, err = run_cli(capsys, "--config", str(cfg), "recur", "--theta", "0.25pi",
+                             "--p", "0.5", "--z", "0.5")
+    assert code == 1 and out == "" and "nmx" in err
+    # a key of another subcommand is fine: one file serves recur and evolve
+    cfg.write_text("nmax=4\ngrid=64\ncoin=mixed\n")
+    code, out, _ = run_cli(capsys, "--config", str(cfg), "recur", "--theta", "0.25pi",
+                           "--p", "0.5", "--z", "0.5")
+    assert code == 0 and out.strip().splitlines()[1].split(",")[4] == "4"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["oracle", "--which", "catalan", "--model", "correlated"],
+        ["fit", "--input", "recur.csv", "--model", "correlated"],
+    ],
+    ids=["oracle", "fit"],
+)
+def test_model_flag_only_where_read(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == "" and "--model" in err
+
+
 def test_config_prefix_is_not_config(capsys):
     """A prefix of --config is left to the subcommand (here evolve's --coin),
     and before the subcommand it is a usage error, not an ignored file."""

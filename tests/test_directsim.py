@@ -98,10 +98,16 @@ def test_cptp_preserves_trace_hermiticity_positivity(model):
         state = step_monitored(state, family)
 
 
-def test_p_zero_matches_pure_state_trajectory():
+@pytest.mark.parametrize(
+    "coin_state",
+    [[1.0, 0.0], np.array([1.0, 1.0j]) / math.sqrt(2), [0.6, 0.8]],
+    ids=["R", "circular", "real"],
+)
+def test_p_zero_matches_pure_state_trajectory(coin_state):
     theta, t_max = 1.1, 40
-    series = return_series(WalkParams(theta, 0.0), t_max)
-    traj = monitored_trajectory(theta, t_max)
+    psi = np.asarray(coin_state)
+    series = return_series(WalkParams(theta, 0.0), t_max, np.outer(psi, psi.conj()))
+    traj = monitored_trajectory(theta, t_max, coin_state)
     assert np.max(np.abs(series.survival - traj.survival())) < 1e-12
 
 

@@ -5,12 +5,16 @@ import pytest
 
 from dtqsw import (
     Model,
+    MonitoredDensityState,
     WalkParams,
+    initial_state,
+    kraus_family,
     monitored_trajectory,
     return_series,
     slope_balanced,
     slope_correlated,
     slope_series,
+    step_monitored,
     theta_star,
 )
 from dtqsw.errors import BracketError, ParameterError
@@ -47,6 +51,32 @@ def test_slope_is_first_order_coefficient():
         remainders.append(abs(r_p - r0 - b_t * p) / p**2)
     # quadratic remainder: the p^2-normalized residual stays bounded
     assert max(remainders) < 10 * min(remainders) + 1.0
+
+
+def _tangent_slope(theta, model, t_max):
+    """B_t from the density-matrix tangent: d/dp of rho_t at p = 0, stepped
+    by directsim.step_monitored with the coined and the classical families."""
+    coined = kraus_family(WalkParams(theta, 0.0, model))
+    classical = kraus_family(WalkParams(theta, 1.0, model))
+    rho = initial_state(np.diag([1.0, 0.0]), t_max + 1)
+    sigma = MonitoredDensityState(t_max + 1, np.zeros_like(rho.rho))
+    values = []
+    for t in range(1, t_max + 1):
+        # d/dp [(1 - p) U rho U^dag + p sum_j E_j rho E_j^dag] at p = 0
+        a = step_monitored(sigma, coined)
+        b = step_monitored(rho, classical)
+        rho = step_monitored(rho, coined)
+        sigma = MonitoredDensityState(t_max + 1, a.rho + b.rho - rho.rho, t)
+        values.append(-sigma.survival())
+    return np.array(values)
+
+
+@pytest.mark.parametrize("model", [Model.BALANCED, Model.CORRELATED])
+@pytest.mark.parametrize("theta", [0.3, math.pi / 4, 1.2, math.pi / 2])
+def test_slope_series_matches_density_matrix_tangent(model, theta):
+    ref = _tangent_slope(theta, model, 40)
+    values = slope_series(theta, 40, model).values
+    assert np.all(np.abs(values - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
 
 
 def test_slope_series_one_pass_matches_endpoints():
