@@ -341,6 +341,14 @@ def build_parser(config=None) -> _Parser:
     if unknown:
         raise _UsageError(f"unknown config key(s): {', '.join(sorted(unknown))}")
     for p, dests in known.items():
+        # argparse checks choices only on the command line, not on defaults
+        for action in p._actions:
+            value = config.get(action.dest)
+            if value is not None and action.choices and value not in action.choices:
+                raise _UsageError(
+                    f"config {action.dest}={value!r}: choose from "
+                    f"{', '.join(map(str, action.choices))}"
+                )
         p.set_defaults(**{k: v for k, v in config.items() if k in dests})
     return parser
 

@@ -4,54 +4,54 @@ The resolvent kernel A(z, k1, k2) = (I4 - z V(k1, k2))^-1 is integrated
 over momentum in rotated coordinates xi = k1 + k2, eta = k1 - k2. Both V
 and the needed Fourier phases are 2pi-periodic in (xi, eta) separately,
 so the integral over the k-torus equals the integral over the (xi, eta)
-torus with the plain product measure. Each axis is regularized by the
-substitution xi = s - sin(2 s)/2 (Jacobian 1 - cos(2 s)), sampled by the
-rectangle rule at half-interval offsets so no node lands on the crest
-lines xi, eta in pi*Z where the determinant becomes small as z -> 1.
+torus with the plain product measure.
 
-Every Kraus family takes one route: A = adj(I - zV) / D. Every Kraus
-operator shifts by +-1, so in (xi, eta) the adjugate is a Laurent
-polynomial of band 3 and D = det(I - zV) one of band 4. Only the scalar
-1/D field is sampled on the quadrature grid; its moments are convolved
-with the adjugate's exact coefficients, taken from an FFT on an 8 x 8
-uniform grid. D comes from the closed form determinant_grid when the
-family has the shift blocks of a standard balanced family (it stays free
-of cancellation where D vanishes to fourth order at p = 1), and for any
-other family from its band-4 coefficients, taken the same way from a
-9 x 9 uniform grid. resolvent_kernel, the pointwise resolvent at one
-momentum pair, is a pivoted 4 x 4 inverse for every family.
+Every Kraus operator shifts by +-1, so with the shift blocks M of
+model.shift_blocks, at each xi
+
+    I - zV = A0 + A_-1 exp(-i eta) + A_1 exp(i eta),
+    A0 = I - z (M++ exp(-i xi) + M-- exp(i xi)),  A_-1 = -z M+-,  A_1 = -z M-+,
+
+a matrix Laurent polynomial of degree +-1 in exp(i eta). Its inverse has
+the exact eta coefficients H_n = G+^n H0 and H_-n = P H_n P for n >= 0:
+G+ is the minimal solvent of A_1 + A0 G + A_-1 G^2 = 0, found by cyclic
+reduction (Bini & Meini, SIAM J. Matrix Anal. Appl. 17 (1996) 906),
+G- = P G+ P, H0 = (A0 + A_-1 G+ + A_1 G-)^-1, and P is the coin-pair swap
+(c, c') -> (c', c), which maps M+- to M-+ for real coin blocks. Nothing
+is formed that is much larger than the harmonics it sums to.
+
+The one quadrature is over xi: the substitution xi = s - sin(2 s)/2
+(Jacobian 1 - cos(2 s)), sampled by the rectangle rule at half-interval
+offsets so no node lands on the crest lines xi in pi*Z where I - zV comes
+close to singular as z -> 1. For real coin blocks the nodes xi and
+2pi - xi carry complex-conjugate coefficients, so only the first half is
+computed and the harmonics are real. resolvent_kernel, the pointwise
+resolvent at one momentum pair, is a pivoted 4 x 4 inverse for every
+family.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import determinant_grid, invert_grid_4x4
+from ._kernels import invert_grid_4x4
 from .errors import (
     ConditioningError,
     DtqswError,
     OutOfValidatedRangeError,
     ParameterError,
     SingularKernelError,
+    UnsupportedFamilyError,
 )
-from .model import (
-    TranslationKrausFamily,
-    WalkParams,
-    kraus_balanced,
-    kraus_family,
-    momentum_kernel,
-    shift_blocks,
-)
+from .model import TranslationKrausFamily, WalkParams, kraus_family, momentum_kernel, shift_blocks
 
 __all__ = [
     "DEFAULT_Z_SAMPLES",
     "Z_CAP",
     "StieltjesMatrix",
     "SweepPoint",
-    "adjugate_4x4",
     "resolvent_kernel",
     "fourier_blocks",
     "cross_basis",
@@ -65,37 +65,11 @@ DEFAULT_Z_SAMPLES = (
     0.99, 0.995, 0.998, 0.999, 0.9995, 0.9998, 0.9999, 0.99995, 0.99998, 0.99999,
 )
 
-# Adjugate entries and the determinant of I - zV are Laurent polynomials in
-# exp(i xi), exp(i eta) of band at most 3 and 4 (products of three and four
-# single-harmonic matrix entries).
-_ADJ_BAND = 3
-_DET_BAND = 4
 _COND_LIMIT = 1e14
-_DET_FLOOR = 1e-300
-# shift blocks within this of a standard balanced family's select the closed-form D
-_STANDARD_TOL = 1e-14
-
-
-def adjugate_4x4(mats: np.ndarray) -> np.ndarray:
-    """Adjugate of a (..., 4, 4) stack via cofactor expansion."""
-    mats = np.asarray(mats)
-    minors = np.empty_like(mats)
-    idx = np.arange(4)
-    for i in range(4):
-        rows = idx[idx != i]
-        for j in range(4):
-            cols = idx[idx != j]
-            sub = mats[..., rows[:, None], cols[None, :]]
-            minors[..., i, j] = (-1) ** (i + j) * _det3(sub)
-    return np.swapaxes(minors, -1, -2)
-
-
-def _det3(m):
-    return (
-        m[..., 0, 0] * (m[..., 1, 1] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 1])
-        - m[..., 0, 1] * (m[..., 1, 0] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 0])
-        + m[..., 0, 2] * (m[..., 1, 0] * m[..., 2, 1] - m[..., 1, 1] * m[..., 2, 0])
-    )
+# coin pair 2*c + c' -> 2*c' + c
+_SWAP = [0, 2, 1, 3]
+# cyclic reduction converges quadratically: 22 steps at Z_CAP for the unitary walk
+_CR_MAX_STEPS = 64
 
 
 def _check_z(z: float) -> float:
@@ -123,40 +97,6 @@ def resolvent_kernel(
         ) from exc
 
 
-def _balanced_angles(family: TranslationKrausFamily) -> tuple[float, float] | None:
-    """(theta, p) if family has the shift blocks of kraus_balanced(theta, p), else None.
-
-    The angles are read off the Kraus blocks where a balanced family keeps
-    them, and trusted only once the standard family built from them
-    reproduces the shift blocks of the one passed in.
-    """
-    try:
-        coin_block = family.kraus[0].terms[0][0]
-        rw_block = family.kraus[1].terms[0][0]
-    except IndexError:
-        return None
-    p = float(np.clip(2 * rw_block[0, 0].real ** 2, 0.0, 1.0))
-    if p == 1:
-        # coin blocks vanish; any angle gives the same kernel
-        theta = 0.0
-    else:
-        scale = math.sqrt(1 - p)
-        c = float(np.real(coin_block[0, 0])) / scale
-        s = float(np.real(coin_block[0, 1])) / scale
-        theta = math.atan2(s, c)
-    try:
-        params = WalkParams(theta, p)
-    except ParameterError:
-        return None
-    mine = shift_blocks(family)
-    standard = shift_blocks(kraus_balanced(params))
-    if mine.keys() != standard.keys() or any(
-        np.max(np.abs(mine[key] - standard[key])) > _STANDARD_TOL for key in mine
-    ):
-        return None
-    return params.theta, params.p
-
-
 def _subst_grid(grid_n: int) -> tuple[np.ndarray, np.ndarray]:
     if grid_n <= 0 or grid_n % 4:
         raise ParameterError("grid_n must be a positive multiple of 4")
@@ -164,67 +104,80 @@ def _subst_grid(grid_n: int) -> tuple[np.ndarray, np.ndarray]:
     return s - 0.5 * np.sin(2 * s), (1.0 - np.cos(2 * s)) / grid_n
 
 
-def _uniform_coefficients(family, z, n_u, transform):
-    """Laurent coefficients of transform(I - zV) from an n_u x n_u (xi, eta) grid.
+def _solvent(a0, const, quad):
+    """Minimal solvent G of const + a0 G + quad G^2 = 0 at each node, by cyclic reduction.
 
-    Entry [a % n_u, b % n_u] multiplies exp(i (a xi + b eta)); exact for a
-    polynomial of band at most (n_u - 1) // 2.
+    a0 is an (n, 4, 4) stack, const and quad are 4 x 4. A node stops once
+    its reduced off-diagonal terms fall below the round-off floor of its
+    reduced diagonal term.
     """
-    ku = 2 * np.pi * np.arange(n_u) / n_u
-    xi_g, eta_g = np.meshgrid(ku, ku, indexing="ij")
-    v = momentum_kernel(family, (xi_g + eta_g) / 2, (xi_g - eta_g) / 2)
-    return np.fft.fft2(transform(np.eye(4) - z * v), axes=(0, 1)) / n_u**2
+    hat_done = np.empty_like(a0)
+    todo = np.arange(len(a0))
+    mid = hat = a0
+    low = np.broadcast_to(const, a0.shape)
+    high = np.broadcast_to(quad, a0.shape)
+    for _ in range(_CR_MAX_STEPS):
+        k = np.linalg.solve(mid, np.concatenate([low, high], axis=2))
+        # [[low K low, low K high], [high K low, high K high]] in one product
+        prod = np.concatenate([low, high], axis=1) @ k
+        hat = hat - prod[:, 4:, :4]
+        mid = mid - prod[:, 4:, :4] - prod[:, :4, 4:]
+        low, high = -prod[:, :4, :4], -prod[:, 4:, 4:]
+        tail = np.maximum(np.abs(low).max(axis=(1, 2)), np.abs(high).max(axis=(1, 2)))
+        done = tail <= np.finfo(float).eps * np.abs(mid).max(axis=(1, 2))
+        hat_done[todo[done]] = hat[done]
+        todo, mid, hat, low, high = (a[~done] for a in (todo, mid, hat, low, high))
+        if not todo.size:
+            return -np.linalg.solve(hat_done, np.broadcast_to(const, a0.shape))
+    raise SingularKernelError(
+        f"cyclic reduction left {todo.size} nodes unconverged after {_CR_MAX_STEPS} steps"
+    )
 
 
-def _determinant_field(family, z, x):
-    """D = det(I - zV) on the (xi, eta) = (x, x) product grid."""
-    angles = _balanced_angles(family)
-    if angles is not None:
-        theta, p = angles
-        return determinant_grid(x, x, z, p, theta)
-    # 2 * band + 1 samples per axis: 8 would alias the +-4 harmonics
-    n_u = 2 * _DET_BAND + 1
-    coeffs = _uniform_coefficients(family, z, n_u, np.linalg.det)
-    harmonics = np.arange(-_DET_BAND, _DET_BAND + 1)
-    band = coeffs[np.ix_(harmonics % n_u, harmonics % n_u)]
-    phases = np.exp(1j * np.outer(x, harmonics))
-    return phases @ band @ phases.T
+def _eta_coefficients(family, z, xi, n_max):
+    """H_n(xi) for 0 <= n <= n_max, shape (n_max + 1, len(xi), 4, 4).
+
+    H_n multiplies exp(i n eta) in (I - zV)^-1; H_-n = P H_n P.
+    """
+    blocks = shift_blocks(family)
+    m_pp, m_mm, m_pm, m_mp = (
+        blocks.get(key, np.zeros((4, 4))) for key in ((1, 1), (-1, -1), (1, -1), (-1, 1))
+    )
+    phase = np.exp(-1j * xi)[:, None, None]
+    a0 = np.eye(4) - z * (m_pp * phase + m_mm * phase.conj())
+    a_minus, a_plus = -z * m_pm, -z * m_mp
+    h = np.empty((n_max + 1,) + a0.shape, dtype=complex)
+    try:
+        g_plus = _solvent(a0, a_plus, a_minus)
+        g_minus = g_plus[:, _SWAP][:, :, _SWAP]
+        h[0] = np.linalg.inv(a0 + a_minus @ g_plus + a_plus @ g_minus)
+    except np.linalg.LinAlgError as exc:
+        raise SingularKernelError(f"I - zV is singular on the xi grid at z={z}: {exc}") from exc
+    for n in range(1, n_max + 1):
+        np.matmul(g_plus, h[n - 1], out=h[n])
+    return h
 
 
 def _harmonics(family, z, n_max, grid_n):
-    """Fourier coefficients of A over integer (xi, eta) harmonics.
+    """Fourier coefficients of A: entry [a + n_max, b + n_max] multiplies
+    exp(i (a xi + b eta)), for |a|, |b| <= n_max.
 
-    The scalar 1/D field is transformed once; the 16 adjugate entries are
-    attached by discrete convolution with their (small) Laurent bands.
+    The conjugate nodes xi and 2pi - xi fold the xi sum into twice the real
+    part over the first half of the grid: one real matmul.
     """
     x, w = _subst_grid(grid_n)
-    det = _determinant_field(family, z, x)
-    small = np.min(np.abs(det))
-    if small < _DET_FLOOR:
-        raise SingularKernelError(f"determinant reached {small:.3e} on the grid")
-    inv_det = 1.0 / det
-
-    pad = 2 * n_max + _ADJ_BAND
-    harmonics = np.arange(-pad, pad + 1)
-    phases = np.exp(1j * np.outer(harmonics, x)) * w  # (n_h, N), weights folded in
-    moments = (phases @ inv_det) @ phases.T  # (n_h, n_h)
-
-    n_u = 8
-    coeffs = _uniform_coefficients(family, z, n_u, adjugate_4x4)
-
-    n_a = 4 * n_max + 1
-    out = np.zeros((n_a, n_a, 4, 4), dtype=complex)
-    lo = pad - 2 * n_max
-    for dp_ in range(-_ADJ_BAND, _ADJ_BAND + 1):
-        for dq in range(-_ADJ_BAND, _ADJ_BAND + 1):
-            c = coeffs[dp_ % n_u, dq % n_u]
-            if np.max(np.abs(c)) < 1e-300:
-                continue
-            sl = moments[
-                lo + dp_ : lo + dp_ + n_a, lo + dq : lo + dq + n_a
-            ]
-            out += sl[:, :, None, None] * c
-    return out
+    half = grid_n // 2
+    x, w = x[:half], w[:half]
+    h = _eta_coefficients(family, z, x, n_max)
+    angle = np.outer(np.arange(-n_max, n_max + 1), x)
+    phases = 2 * np.concatenate([np.cos(angle) * w, -np.sin(angle) * w], axis=1)
+    parts = np.concatenate([h.real, h.imag], axis=1).transpose(1, 0, 2, 3)
+    # column n of low holds b = -n
+    low = (phases @ parts.reshape(2 * half, -1)).reshape(2 * n_max + 1, n_max + 1, 4, 4)
+    harm = np.empty((2 * n_max + 1, 2 * n_max + 1, 4, 4))
+    harm[:, n_max::-1] = low
+    harm[:, n_max:] = low[:, :, _SWAP][:, :, :, _SWAP]
+    return harm
 
 
 def fourier_blocks(
@@ -232,21 +185,24 @@ def fourier_blocks(
 ) -> dict:
     """Map (d1, d2) -> 4x4 block A_{xm,yn}(z) with d1 = x - y, d2 = m - n.
 
-    Only even offsets appear; odd-sum blocks vanish by bipartiteness and
-    are never computed.
+    The keys are the even offsets with |d1| + |d2| <= 2 n_max, all the
+    cross basis reads; odd offsets are never computed. The blocks are real.
     """
     z = _check_z(z)
     if n_max < 2 or n_max % 2:
         raise ParameterError("n_max must be even and >= 2")
+    if not family.is_real:
+        raise UnsupportedFamilyError(
+            "fourier_blocks requires real coin blocks (conjugate-node fold, coin-pair swap)"
+        )
     harm = _harmonics(family, z, n_max, grid_n)
-    off = 2 * n_max
-    blocks = {}
-    for d1 in range(-2 * n_max, 2 * n_max + 1, 2):
-        for d2 in range(-2 * n_max, 2 * n_max + 1, 2):
-            a = (d1 + d2) // 2
-            b = (d1 - d2) // 2
-            blocks[(d1, d2)] = harm[a + off, b + off]
-    return blocks
+    span = range(-2 * n_max, 2 * n_max + 1, 2)
+    return {
+        (d1, d2): harm[(d1 + d2) // 2 + n_max, (d1 - d2) // 2 + n_max]
+        for d1 in span
+        for d2 in span
+        if abs(d1) + abs(d2) <= 2 * n_max
+    }
 
 
 def cross_basis(n_max: int) -> list:
@@ -276,14 +232,14 @@ class StieltjesMatrix:
 def stieltjes_matrix(
     family: TranslationKrausFamily, z: float, n_max: int, grid_n: int = 1024
 ) -> StieltjesMatrix:
-    """Assemble s(z) over the even cross basis from the Fourier blocks."""
+    """Assemble the real s(z) over the even cross basis from the Fourier blocks."""
     blocks = fourier_blocks(family, z, n_max, grid_n)
     positions = cross_basis(n_max)
     n_pos = len(positions)
-    mat = np.zeros((4 * n_pos, 4 * n_pos), dtype=complex)
-    for i, (x, m) in enumerate(positions):
-        for j, (y, n) in enumerate(positions):
-            mat[4 * i : 4 * i + 4, 4 * j : 4 * j + 4] = blocks[(x - y, m - n)]
+    where = {key: k for k, key in enumerate(blocks)}
+    pick = [[where[x - y, m - n] for y, n in positions] for x, m in positions]
+    mat = np.array(list(blocks.values()))[pick]
+    mat = mat.transpose(0, 2, 1, 3).reshape(4 * n_pos, 4 * n_pos)
     return StieltjesMatrix(z=z, n_max=n_max, positions=positions, matrix=mat)
 
 
@@ -302,7 +258,7 @@ def recurrence_estimate(
     z = _check_z(z)
     family = kraus_family(params)
     s = stieltjes_matrix(family, z, n_max, grid_n)
-    rhs = np.zeros(s.dim, dtype=complex)
+    rhs = np.zeros(s.dim)
     i_rr = s.basis_index(0, 0, 0)
     i_ll = s.basis_index(3, 0, 0)
     rhs[i_rr] = 1.0
@@ -318,7 +274,7 @@ def recurrence_estimate(
         raise ConditioningError(f"solve failed at z={z}, n_max={n_max}: {exc}") from exc
 
     value = (1.0 - w[i_rr] - w[i_ll]) / z
-    return float(value.real)
+    return float(value)
 
 
 @dataclass(frozen=True)

@@ -232,6 +232,21 @@ def test_unknown_config_key_is_usage_error(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "line, argv",
+    [
+        ("model=foo", ["slope", "--theta", "0.25pi", "--t", "2"]),
+        ("coin=up", ["evolve", "--theta", "0.25pi", "--p", "0", "--tmax", "2"]),
+    ],
+    ids=["model", "coin"],
+)
+def test_config_value_outside_choices_is_usage_error(capsys, tmp_path, line, argv):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    code, out, err = run_cli(capsys, "--config", str(cfg), *argv)
+    assert code == 1 and out == "" and line.partition("=")[0] in err
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["oracle", "--which", "catalan", "--model", "correlated"],

@@ -26,17 +26,17 @@ from dtqsw.errors import (
     OutOfValidatedRangeError,
     ParameterError,
     SingularKernelError,
+    UnsupportedFamilyError,
 )
 from dtqsw._kernels import determinant_grid
 from dtqsw.genfun import (
     DEFAULT_Z_SAMPLES,
     Z_CAP,
-    _determinant_field,
-    _subst_grid,
-    adjugate_4x4,
+    _eta_coefficients,
     cross_basis,
 )
-from dtqsw.model import balanced_family_from_coin
+from dtqsw.model import balanced_family_from_coin, general_coin
+from dtqsw.oracles import pi_half_weighted_return
 
 RNG = np.random.default_rng(7)
 
@@ -57,13 +57,6 @@ def test_determinant_closed_form_vs_brute_force():
         assert abs(det_ref.imag) < 1e-12
 
 
-def test_adjugate_vs_inverse_times_det():
-    mats = RNG.normal(size=(50, 4, 4)) + 1j * RNG.normal(size=(50, 4, 4))
-    adj = adjugate_4x4(mats)
-    ref = np.linalg.inv(mats) * np.linalg.det(mats)[:, None, None]
-    assert np.max(np.abs(adj - ref)) < 1e-10
-
-
 @pytest.mark.parametrize("model", [Model.BALANCED, Model.CORRELATED])
 def test_resolvent_kernel_inverts(model):
     """A(z,k1,k2)(I - zV) = I for z up to Z_CAP."""
@@ -78,34 +71,46 @@ def test_resolvent_kernel_inverts(model):
         assert np.max(np.abs(a @ m - np.eye(4))) < 1e-10
 
 
-def test_resolvent_dual_paths_agree():
-    """The quadrature's adj(I - zV) / D, with either D source, equals the pivoted
-    inverse: to 1e-10 absolute for z <= 0.99. Above, |A| reaches ~1e4 and D
-    loses relative accuracy next to its zeros (worst 5.4e-9 of |A| in 8000
-    draws, the inverse being exact to 1e-14 there), so the bound is 1e-8 of |A|."""
+def test_eta_coefficients_vs_uniform_eta_fft():
+    """The cyclic-reduction eta coefficients H_n(xi) against an N-point FFT in eta
+    of resolvent_kernel, for |n| <= 20. The FFT sums the aliases H_{n + jN};
+    with H_n = G^n H_0 (G = H_1 H_0^-1) and H_-n = P H_n P they sum to
+    S(n) = (I - G^N)^-1 G^n H_0 over j >= 0 and T(n) = (I - G^N)^-1 G^(N-n) H_0
+    over j >= 1, so the FFT is S(n) + P T(n) P at n >= 0 and T(m) + P S(m) P
+    at n = -m. To 1e-10 absolute for z <= 0.99; above, |A| reaches ~1e4 and
+    the bound is 1e-8 of |A|."""
+    n_fft, n_max = 256, 20
+    eta = 2 * np.pi * np.arange(n_fft) / n_fft
+    swap = [0, 2, 1, 3]
     near_cap = 1 - 10 ** RNG.uniform(np.log10(1 - Z_CAP), -2, 100)
     for model in [Model.BALANCED, Model.CORRELATED]:
         for z in np.concatenate([RNG.uniform(0.05, 0.99, 100), near_cap]):
             theta = RNG.uniform(0, math.pi / 2)
             p = RNG.uniform(0, 1)
-            x = RNG.uniform(0, 2 * np.pi, 2)  # (xi, eta) over the 2 x 2 product grid
+            xi = RNG.uniform(0, 2 * np.pi, 2)
             fam = kraus_family(WalkParams(theta, p, model))
-            k1 = (x[:, None] + x[None, :]) / 2
-            k2 = (x[:, None] - x[None, :]) / 2
-            m = np.eye(4) - z * momentum_kernel(fam, k1, k2)
-            quad = adjugate_4x4(m) / _determinant_field(fam, z, x)[..., None, None]
-            for i, j in np.ndindex(2, 2):
-                ref = resolvent_kernel(fam, z, k1[i, j], k2[i, j])
-                tol = 1e-10 if z <= 0.99 else 1e-8 * np.max(np.abs(ref))
-                assert np.max(np.abs(quad[i, j] - ref)) < tol
+            h = _eta_coefficients(fam, z, xi, n_max)
+            for i, x in enumerate(xi):
+                a = resolvent_kernel(fam, z, (x + eta) / 2, (x - eta) / 2)
+                fft = np.fft.fft(a, axis=0) / n_fft
+                h0, h1 = h[0, i], h[1, i]
+                g = h1 @ np.linalg.inv(h0)
+                tail = np.linalg.inv(np.eye(4) - np.linalg.matrix_power(g, n_fft))
+                tol = 1e-10 if z <= 0.99 else 1e-8 * np.max(np.abs(a))
+                for m in range(n_max + 1):
+                    s_m = tail @ h[m, i]
+                    t_m = tail @ np.linalg.matrix_power(g, n_fft - m) @ h0
+                    pos = s_m + t_m[swap][:, swap]
+                    neg = t_m + s_m[swap][:, swap]
+                    assert np.max(np.abs(fft[m] - pos)) < tol
+                    assert np.max(np.abs(fft[-m] - neg)) < tol
 
 
 # -------------------------------------------------------------- Fourier blocks
 
 
 SIGMA_Z = np.diag([1.0, -1.0])
-# real coins outside the standard family C(theta); their D comes from the
-# band-4 polynomial (the recovered angle is 0.9 for the first, -0.9 for the second)
+# real coins outside the standard family C(theta)
 NONSTANDARD_COINS = {
     "sz_c": SIGMA_Z @ coin_matrix(0.9),
     "c_sz": coin_matrix(0.9) @ SIGMA_Z,
@@ -128,7 +133,7 @@ def _assert_blocks_match_rectangle_rule(fam):
 
 @pytest.mark.parametrize("model", [Model.BALANCED, Model.CORRELATED])
 def test_fourier_blocks_vs_uniform_grid_integral(model):
-    """Both D sources against a plain rectangle rule in (k1, k2)."""
+    """Both models against a plain rectangle rule in (k1, k2)."""
     _assert_blocks_match_rectangle_rule(kraus_family(WalkParams(0.9, 0.4, model)))
 
 
@@ -143,24 +148,29 @@ def test_fourier_blocks_nonstandard_balanced_coin(coin):
     assert np.max(np.abs(a @ m - np.eye(4))) < 1e-12
 
 
-@pytest.mark.parametrize(
-    "fam",
-    [
-        kraus_family(WalkParams(0.9, 0.4)),
-        kraus_family(WalkParams(0.9, 0.4, Model.CORRELATED)),
-        balanced_family_from_coin(NONSTANDARD_COINS["sz_c"], 0.4),
-    ],
-    ids=["balanced", "correlated", "sz_c"],
-)
-def test_determinant_field_vs_pointwise_determinant(fam):
-    """The closed form and the band-4 polynomial both give det(I - zV) at the nodes."""
-    z = 0.999
-    x, _ = _subst_grid(16)
-    det = _determinant_field(fam, z, x)
-    k1 = (x[:, None] + x[None, :]) / 2
-    k2 = (x[:, None] - x[None, :]) / 2
-    ref = np.linalg.det(np.eye(4) - z * momentum_kernel(fam, k1, k2))
-    assert np.max(np.abs(det - ref)) < 1e-13
+def test_fourier_blocks_key_set_and_reality():
+    """Keys are the even offsets with |d1| + |d2| <= 2 n_max; blocks are real."""
+    n_max = 6
+    blocks = fourier_blocks(kraus_family(WalkParams(0.9, 0.4)), 0.9, n_max, grid_n=64)
+    span = range(-2 * n_max, 2 * n_max + 1, 2)
+    keys = {(d1, d2) for d1 in span for d2 in span if abs(d1) + abs(d2) <= 2 * n_max}
+    assert set(blocks) == keys
+    assert all(np.isrealobj(b) and b.shape == (4, 4) for b in blocks.values())
+
+
+def test_complex_coin_family_is_unsupported(monkeypatch):
+    """The conjugate-node fold and the coin-pair swap hold only for real coin
+    blocks, so a complex family is refused before any work."""
+
+    def no_work(*_args, **_kwargs):
+        raise AssertionError("harmonics computed for a complex family")
+
+    monkeypatch.setattr(genfun, "_harmonics", no_work)
+    fam = balanced_family_from_coin(general_coin(math.pi / 3, 0.7, 1.1, 0.0), 0.3)
+    with pytest.raises(UnsupportedFamilyError):
+        fourier_blocks(fam, 0.5, 4, grid_n=64)
+    with pytest.raises(UnsupportedFamilyError):
+        stieltjes_matrix(fam, 0.5, 4, grid_n=64)
 
 
 def test_fourier_blocks_small_z_is_identity():
@@ -317,11 +327,21 @@ def test_z_sweep_propagates_bugs(monkeypatch):
 
 
 def test_linalg_errors_become_typed_errors(monkeypatch):
-    """D at the floor is a SingularKernelError from either D source, and so is a
-    singular pointwise inverse; a failed solve is a ConditioningError."""
+    """A singular pointwise inverse, a LinAlgError inside cyclic reduction and a
+    cyclic reduction that does not converge within its step cap are each a
+    SingularKernelError; a failed renewal solve is a ConditioningError."""
+    solve = np.linalg.solve
 
     def singular(*_args, **_kwargs):
         raise np.linalg.LinAlgError("Singular matrix")
+
+    def singular_if(batched):
+        def patched(a, b):
+            if (np.ndim(a) > 2) == batched:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(a, b)
+
+        return patched
 
     with monkeypatch.context() as m:
         m.setattr(genfun, "invert_grid_4x4", singular)
@@ -329,18 +349,43 @@ def test_linalg_errors_become_typed_errors(monkeypatch):
             resolvent_kernel(kraus_family(WalkParams(0.6, 0.3)), 0.5, 0.1, 0.2)
 
     with monkeypatch.context() as m:
-        m.setattr(
-            genfun, "determinant_grid", lambda xi, eta, *_: np.zeros((xi.size, eta.size))
-        )
-        with pytest.raises(SingularKernelError):
-            recurrence_estimate(WalkParams(0.6, 0.3), 0.5, 4, 64)
+        # the per-node solves of cyclic reduction are the batched ones
+        m.setattr(genfun.np.linalg, "solve", singular_if(batched=True))
+        for model in (Model.BALANCED, Model.CORRELATED):
+            with pytest.raises(SingularKernelError):
+                recurrence_estimate(WalkParams(0.6, 0.3, model), 0.5, 4, 64)
     with monkeypatch.context() as m:
-        m.setattr(genfun.np.linalg, "det", lambda mats: np.zeros(mats.shape[:-2]))
-        with pytest.raises(SingularKernelError):
-            recurrence_estimate(WalkParams(0.6, 0.3, Model.CORRELATED), 0.5, 4, 64)
-    monkeypatch.setattr(genfun.np.linalg, "solve", singular)
+        m.setattr(genfun, "_CR_MAX_STEPS", 1)
+        with pytest.raises(SingularKernelError, match="unconverged"):
+            recurrence_estimate(WalkParams(0.6, 0.3), 0.5, 4, 64)
+    monkeypatch.setattr(genfun.np.linalg, "solve", singular_if(batched=False))
     with pytest.raises(ConditioningError):
         recurrence_estimate(WalkParams(0.6, 0.3), 0.5, 4, 64)
+
+
+# --------------------------------------------------- balanced oracles up to Z_CAP
+
+
+@pytest.mark.parametrize("theta", [0.0, math.pi / 4, 2 * math.pi / 5, math.pi / 2])
+def test_balanced_classical_limit_up_to_zcap(theta):
+    """p=1 is the balanced random walk whatever the coin: (1 - sqrt(1 - z^2)) / z."""
+    for z in DEFAULT_Z_SAMPLES:
+        ref = (1 - math.sqrt(1 - z * z)) / z
+        assert abs(recurrence_estimate(WalkParams(theta, 1.0), z) - ref) < 1e-11
+
+
+@pytest.mark.parametrize("p", [0.0, 0.1, 0.5, 0.9, 1.0])
+def test_balanced_pi_half_closed_form_up_to_zcap(p):
+    for z in DEFAULT_Z_SAMPLES:
+        est = recurrence_estimate(WalkParams(math.pi / 2, p), z)
+        assert abs(est - pi_half_weighted_return(z, p)) < 1e-11
+
+
+def test_balanced_theta_zero_unitary_never_returns():
+    """theta=0, p=0: the coin never flips, each coin state moves one way."""
+    for z in DEFAULT_Z_SAMPLES:
+        if z <= 0.9999:
+            assert abs(recurrence_estimate(WalkParams(0.0, 0.0), z)) < 1e-10
 
 
 # ------------------------------------------------ correlated oracles up to Z_CAP
@@ -363,15 +408,10 @@ def test_correlated_pi_half_returns_after_two_steps(p):
 
 
 @pytest.mark.parametrize("theta", [math.pi / 4, 2 * math.pi / 5])
-def test_correlated_unitary_limit_matches_balanced_near_zcap(theta, monkeypatch):
-    """At p=0 both models are the unitary walk. The correlated family then has
-    the balanced shift blocks and takes the closed-form D; with that shortcut
-    off, the band-4 polynomial D still agrees."""
+def test_correlated_unitary_limit_matches_balanced_near_zcap(theta):
+    """At p=0 both models are the unitary walk: the correlated family has the
+    balanced shift blocks, so the two estimates are the same number."""
     for z in (0.999, 0.9999, Z_CAP):
         balanced = recurrence_estimate(WalkParams(theta, 0.0), z)
         correlated = recurrence_estimate(WalkParams(theta, 0.0, Model.CORRELATED), z)
         assert correlated == balanced
-        with monkeypatch.context() as m:
-            m.setattr(genfun, "_balanced_angles", lambda _family: None)
-            polynomial = recurrence_estimate(WalkParams(theta, 0.0, Model.CORRELATED), z)
-        assert abs(polynomial - balanced) < 1e-6
