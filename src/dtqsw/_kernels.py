@@ -2,7 +2,9 @@
 
 USING_NUMBA is always False: the kernels have no compiled variant. The
 name stays because the benchmark's provenance record reads it. invert_grid_4x4
-is the pointwise resolvent's inverse; the quadrature never inverts.
+is the pointwise resolvent's inverse and, in the quadrature, the one
+batched inverse of A0 over the xi nodes of each point. determinant_grid is
+a closed-form reference that the quadrature does not use.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ Every figure-style dataset is produced by one subcommand; plotting is a
 separate concern (the CSV is diffable and byte-identical across runs and
 worker counts). Exit codes: 0 success, 1 usage/config error, 2 partial
 per-point numerical failure (failed rows carry value=nan and the error
-column).
+column, "Type: message" with any "," written as ";").
 """
 
 from __future__ import annotations
@@ -78,8 +78,9 @@ def _fmt(value) -> str:
 
 
 def _row(model, theta, p, z, nmax, grid, kind, t, value, error=""):
-    fields = [model, theta, p, z, nmax, grid, kind, t, value, error]
-    return ",".join(_fmt(f) for f in fields)
+    fields = [_fmt(f) for f in (model, theta, p, z, nmax, grid, kind, t, value)]
+    # readers split rows on ",", so a "," in the error text becomes ";"
+    return ",".join(fields + [_fmt(error).replace(",", ";")])
 
 
 def _emit(lines, out_path):

@@ -14,7 +14,8 @@ class OutOfValidatedRangeError(ParameterError):
 
 
 class UnsupportedFamilyError(DtqswError):
-    """Kraus family with complex coin blocks fed to a real-only routine."""
+    """Kraus family with complex coin blocks, or cross shift blocks of rank > 1,
+    fed to a routine that needs real blocks of rank <= 1."""
 
 
 class TruncationError(DtqswError):
@@ -30,7 +31,9 @@ class ConsistencyError(DtqswError):
 
 
 class SingularKernelError(DtqswError):
-    """Resolvent determinant vanished at a quadrature sample."""
+    """I - zV is singular where it is inverted: the pointwise resolvent, the
+    A0 inverse at a xi node, or an eta root of the closed-form coefficients
+    on or outside the unit circle."""
 
 
 class ConditioningError(DtqswError):

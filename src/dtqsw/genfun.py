@@ -12,13 +12,29 @@ model.shift_blocks, at each xi
     I - zV = A0 + A_-1 exp(-i eta) + A_1 exp(i eta),
     A0 = I - z (M++ exp(-i xi) + M-- exp(i xi)),  A_-1 = -z M+-,  A_1 = -z M-+,
 
-a matrix Laurent polynomial of degree +-1 in exp(i eta). Its inverse has
-the exact eta coefficients H_n = G+^n H0 and H_-n = P H_n P for n >= 0:
-G+ is the minimal solvent of A_1 + A0 G + A_-1 G^2 = 0, found by cyclic
-reduction (Bini & Meini, SIAM J. Matrix Anal. Appl. 17 (1996) 906),
-G- = P G+ P, H0 = (A0 + A_-1 G+ + A_1 G-)^-1, and P is the coin-pair swap
-(c, c') -> (c', c), which maps M+- to M-+ for real coin blocks. Nothing
-is formed that is much larger than the harmonics it sums to.
+a matrix Laurent polynomial of degree +-1 in exp(i eta). Only the coined
+operator S(C x I) carries both shifts, and its blocks have one nonzero row
+each, so the cross blocks have rank one (zero at p=1): A_-1 = u1 v1^T and
+A_1 = u2 v2^T. With L = A0^-1 [u1 u2], R = [v1 v2]^T A0^-1 and
+W = [v1 v2]^T L, the Woodbury identity gives
+
+    (I - zV)^-1 = A0^-1 - L (D^-1 + W)^-1 R,  D = diag(exp(-i eta), exp(i eta)),
+
+and det(D^-1 + W) = kappa (1 - a exp(-i eta)) (1 - b exp(i eta)), where
+kappa is the larger root of kappa^2 - (1 + det W) kappa + w11 w22 = 0,
+a = -w11/kappa and b = -w22/kappa. Expanding both factors in geometric
+series gives the exact eta coefficients, with c = 1/(kappa (1 - ab)):
+
+    H0 = A0^-1 - c L (E0 + a E+ + b E-) R,
+    H_n = -c b^(n-1) L (b E0 + E+ + b^2 E-) R   (n >= 1),   H_-n = P H_n P,
+
+E0 = adj W, E+ = diag(0, 1), E- = diag(1, 0), and P the coin-pair swap
+(c, c') -> (c', c), which maps M+- to M-+ for real coin blocks. For real
+blocks det(I - zV) is even in eta, so where it does not vanish on the
+circle one root of the quadratic lies inside it and one outside, and
+|a|, |b| < 1. A xi node costs one batched 4 x 4 inverse and a few 2 x 2
+products at any z. A family with complex coin blocks or a cross block
+of rank > 1 raises UnsupportedFamilyError.
 
 The one quadrature is over xi: the substitution xi = s - sin(2 s)/2
 (Jacobian 1 - cos(2 s)), sampled by the rectangle rule at half-interval
@@ -68,8 +84,6 @@ DEFAULT_Z_SAMPLES = (
 _COND_LIMIT = 1e14
 # coin pair 2*c + c' -> 2*c' + c
 _SWAP = [0, 2, 1, 3]
-# cyclic reduction converges quadratically: 22 steps at Z_CAP for the unitary walk
-_CR_MAX_STEPS = 64
 
 
 def _check_z(z: float) -> float:
@@ -104,58 +118,83 @@ def _subst_grid(grid_n: int) -> tuple[np.ndarray, np.ndarray]:
     return s - 0.5 * np.sin(2 * s), (1.0 - np.cos(2 * s)) / grid_n
 
 
-def _solvent(a0, const, quad):
-    """Minimal solvent G of const + a0 G + quad G^2 = 0 at each node, by cyclic reduction.
+def _rank_one(m):
+    """(u, v) with m = u v^T; UnsupportedFamilyError when m has rank > 1."""
+    u, s, vt = np.linalg.svd(m)
+    if s[1] > 4 * np.finfo(float).eps * s[0]:
+        raise UnsupportedFamilyError(
+            f"cross shift block of rank > 1 (singular values {s[0]:.3g}, {s[1]:.3g}): "
+            "the closed-form eta coefficients need rank <= 1"
+        )
+    return u[:, 0] * s[0], vt[0]
 
-    a0 is an (n, 4, 4) stack, const and quad are 4 x 4. A node stops once
-    its reduced off-diagonal terms fall below the round-off floor of its
-    reduced diagonal term.
+
+def _laurent_blocks(family):
+    """M++, M-- and rank-one factors (u, v) of M+- and M-+, from model.shift_blocks.
+
+    Raises UnsupportedFamilyError for complex coin blocks (conjugate-node
+    fold, coin-pair swap) or a cross block of rank > 1.
     """
-    hat_done = np.empty_like(a0)
-    todo = np.arange(len(a0))
-    mid = hat = a0
-    low = np.broadcast_to(const, a0.shape)
-    high = np.broadcast_to(quad, a0.shape)
-    for _ in range(_CR_MAX_STEPS):
-        k = np.linalg.solve(mid, np.concatenate([low, high], axis=2))
-        # [[low K low, low K high], [high K low, high K high]] in one product
-        prod = np.concatenate([low, high], axis=1) @ k
-        hat = hat - prod[:, 4:, :4]
-        mid = mid - prod[:, 4:, :4] - prod[:, :4, 4:]
-        low, high = -prod[:, :4, :4], -prod[:, 4:, 4:]
-        tail = np.maximum(np.abs(low).max(axis=(1, 2)), np.abs(high).max(axis=(1, 2)))
-        done = tail <= np.finfo(float).eps * np.abs(mid).max(axis=(1, 2))
-        hat_done[todo[done]] = hat[done]
-        todo, mid, hat, low, high = (a[~done] for a in (todo, mid, hat, low, high))
-        if not todo.size:
-            return -np.linalg.solve(hat_done, np.broadcast_to(const, a0.shape))
-    raise SingularKernelError(
-        f"cyclic reduction left {todo.size} nodes unconverged after {_CR_MAX_STEPS} steps"
+    if not family.is_real:
+        raise UnsupportedFamilyError(
+            "fourier_blocks requires real coin blocks (conjugate-node fold, coin-pair swap)"
+        )
+    blocks = shift_blocks(family)
+    m_pp, m_mm, m_pm, m_mp = (
+        blocks.get(key, np.zeros((4, 4))) for key in ((1, 1), (-1, -1), (1, -1), (-1, 1))
     )
+    return m_pp, m_mm, _rank_one(m_pm), _rank_one(m_mp)
 
 
 def _eta_coefficients(family, z, xi, n_max):
     """H_n(xi) for 0 <= n <= n_max, shape (n_max + 1, len(xi), 4, 4).
 
-    H_n multiplies exp(i n eta) in (I - zV)^-1; H_-n = P H_n P.
+    H_n multiplies exp(i n eta) in (I - zV)^-1; H_-n = P H_n P. The result
+    is a view of a node-major store, the layout the xi fold reads.
     """
-    blocks = shift_blocks(family)
-    m_pp, m_mm, m_pm, m_mp = (
-        blocks.get(key, np.zeros((4, 4))) for key in ((1, 1), (-1, -1), (1, -1), (-1, 1))
-    )
+    m_pp, m_mm, (u1, v1), (u2, v2) = _laurent_blocks(family)
     phase = np.exp(-1j * xi)[:, None, None]
     a0 = np.eye(4) - z * (m_pp * phase + m_mm * phase.conj())
-    a_minus, a_plus = -z * m_pm, -z * m_mp
-    h = np.empty((n_max + 1,) + a0.shape, dtype=complex)
+    # A_-1 = u[:, 0] v[:, 0]^T and A_1 = u[:, 1] v[:, 1]^T, the columns of u scaled by -z
+    u, v = -z * np.stack([u1, u2], axis=1), np.stack([v1, v2], axis=1)
     try:
-        g_plus = _solvent(a0, a_plus, a_minus)
-        g_minus = g_plus[:, _SWAP][:, :, _SWAP]
-        h[0] = np.linalg.inv(a0 + a_minus @ g_plus + a_plus @ g_minus)
+        a0_inv = invert_grid_4x4(a0)
     except np.linalg.LinAlgError as exc:
-        raise SingularKernelError(f"I - zV is singular on the xi grid at z={z}: {exc}") from exc
-    for n in range(1, n_max + 1):
-        np.matmul(g_plus, h[n - 1], out=h[n])
-    return h
+        raise SingularKernelError(f"A0 is singular on the xi grid at z={z}: {exc}") from exc
+    left = np.tensordot(a0_inv, u, axes=(2, 0))  # L = A0^-1 u
+    right = np.tensordot(a0_inv, v, axes=(1, 0)).transpose(0, 2, 1)  # R = v^T A0^-1
+    w = np.tensordot(right, u, axes=(2, 0))  # W = R u
+    w11, w12, w21, w22 = w[:, 0, 0], w[:, 0, 1], w[:, 1, 0], w[:, 1, 1]
+    # det(W + diag(exp(i eta), exp(-i eta))) = kappa (1 - a exp(-i eta)) (1 - b exp(i eta))
+    delta = 1 + w11 * w22 - w12 * w21
+    root = np.sqrt(delta * delta - 4 * w11 * w22)
+    kappa = (delta + np.where((delta.conj() * root).real < 0, -root, root)) / 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a, b = -w11 / kappa, -w22 / kappa
+        c = 1 / (kappa * (1 - a * b))
+    if not (np.all(np.isfinite(c)) and np.all(np.abs(a) < 1) and np.all(np.abs(b) < 1)):
+        raise SingularKernelError(
+            f"I - zV has an eta root on or outside the unit circle on the xi grid at z={z}"
+        )
+    # H0 = A0^-1 - L k0 R and H1 = -L k1 R, with adj W = [[w22, -w12], [-w21, w11]],
+    # k0 = c (adj W + a E+ + b E-) and k1 = c (b adj W + E+ + b^2 E-)
+    k = np.empty((2,) + w.shape, dtype=complex)
+    scale = c * np.stack([np.ones_like(b), b])
+    k[:, :, 0, 0] = scale * (w22 + b)
+    k[:, :, 0, 1] = -scale * w12
+    k[:, :, 1, 0] = -scale * w21
+    k[0, :, 1, 1] = c * (w11 + a)
+    k[1, :, 1, 1] = c * (b * w11 + 1)
+    # L k R over the node stack, term by term: the inner sums have length 2
+    lk = left[:, :, :1] * k[:, :, None, 0] + left[:, :, 1:] * k[:, :, None, 1]
+    lkr = lk[..., :1] * right[:, None, 0] + lk[..., 1:] * right[:, None, 1]
+    h = np.empty(a0.shape[:1] + (n_max + 1, 16), dtype=complex)
+    h[:, 0] = (a0_inv - lkr[0]).reshape(-1, 16)
+    h[:, 1] = -lkr[1].reshape(-1, 16)
+    # H_n = b^(n-1) H1
+    for n in range(2, n_max + 1):
+        np.multiply(b[:, None], h[:, n - 1], out=h[:, n])
+    return h.reshape(a0.shape[:1] + (n_max + 1, 4, 4)).transpose(1, 0, 2, 3)
 
 
 def _harmonics(family, z, n_max, grid_n):
@@ -168,12 +207,12 @@ def _harmonics(family, z, n_max, grid_n):
     x, w = _subst_grid(grid_n)
     half = grid_n // 2
     x, w = x[:half], w[:half]
-    h = _eta_coefficients(family, z, x, n_max)
+    h = _eta_coefficients(family, z, x, n_max).transpose(1, 0, 2, 3)
     angle = np.outer(np.arange(-n_max, n_max + 1), x)
     phases = 2 * np.concatenate([np.cos(angle) * w, -np.sin(angle) * w], axis=1)
-    parts = np.concatenate([h.real, h.imag], axis=1).transpose(1, 0, 2, 3)
+    parts = np.concatenate([h.real, h.imag]).reshape(2 * half, -1)
     # column n of low holds b = -n
-    low = (phases @ parts.reshape(2 * half, -1)).reshape(2 * n_max + 1, n_max + 1, 4, 4)
+    low = (phases @ parts).reshape(2 * n_max + 1, n_max + 1, 4, 4)
     harm = np.empty((2 * n_max + 1, 2 * n_max + 1, 4, 4))
     harm[:, n_max::-1] = low
     harm[:, n_max:] = low[:, :, _SWAP][:, :, :, _SWAP]
@@ -191,10 +230,7 @@ def fourier_blocks(
     z = _check_z(z)
     if n_max < 2 or n_max % 2:
         raise ParameterError("n_max must be even and >= 2")
-    if not family.is_real:
-        raise UnsupportedFamilyError(
-            "fourier_blocks requires real coin blocks (conjugate-node fold, coin-pair swap)"
-        )
+    _laurent_blocks(family)  # refuses an unsupported family before any work
     harm = _harmonics(family, z, n_max, grid_n)
     span = range(-2 * n_max, 2 * n_max + 1, 2)
     return {

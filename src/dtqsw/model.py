@@ -205,7 +205,9 @@ def shift_blocks(family: TranslationKrausFamily) -> dict:
     for op in family.kraus:
         for ket, s in op.terms:
             for bra, s2 in op.terms:
-                blocks[s, s2] = blocks.get((s, s2), 0) + np.kron(ket, np.conj(bra))
+                # np.kron(ket, conj(bra)), as one broadcast product
+                kron = ket[:, None, :, None] * np.conj(bra)[None, :, None, :]
+                blocks[s, s2] = blocks.get((s, s2), 0) + kron.reshape(4, 4)
     return {key: m for key, m in blocks.items() if np.any(m)}
 
 

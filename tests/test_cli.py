@@ -72,6 +72,28 @@ def test_recur_partial_failure_exit_2(capsys):
     assert row[8] == "nan" and "ParameterError" in row[9]
 
 
+def test_recur_error_with_comma_stays_in_its_column(capsys, monkeypatch, tmp_path):
+    """A ConditioningError names "z=..., n_max=...": its "," must not add a field."""
+    monkeypatch.setattr(np.linalg, "cond", lambda _m: 1e15)
+    out_path = tmp_path / "recur.csv"
+    code, _, _ = run_cli(
+        capsys, "recur", "--theta", "0.25pi", "--p", "0.5",
+        "--z", "0.5,0.9", "--nmax", "4", "--grid", "64", "--out", str(out_path),
+    )
+    assert code == 2
+    header, *rows = out_path.read_text().splitlines()
+    assert header == CSV_HEADER and len(rows) == 2
+    for line in rows:
+        row = line.split(",")
+        assert len(row) == len(CSV_HEADER.split(","))
+        assert row[8] == "nan"
+        assert row[9].startswith("ConditioningError: condition estimate")
+        assert row[9].endswith("; n_max=4")
+    # fit reads the failed rows as rows, and has no finite value to fit
+    code, out, _ = run_cli(capsys, "fit", "--input", str(out_path))
+    assert code == 0 and out.strip() == "model,theta,p,form,a,a_err,b,b_err,c,c_err,residual_norm"
+
+
 def test_evolve_hadamard_first_steps(capsys):
     code, out, _ = run_cli(
         capsys, "evolve", "--theta", "0.25pi", "--p", "0", "--tmax", "2",

@@ -35,7 +35,14 @@ from dtqsw.genfun import (
     _eta_coefficients,
     cross_basis,
 )
-from dtqsw.model import balanced_family_from_coin, general_coin
+from dtqsw.model import (
+    TranslationKraus,
+    TranslationKrausFamily,
+    _coined_operator,
+    balanced_family_from_coin,
+    general_coin,
+    shift_blocks,
+)
 from dtqsw.oracles import pi_half_weighted_return
 
 RNG = np.random.default_rng(7)
@@ -72,7 +79,7 @@ def test_resolvent_kernel_inverts(model):
 
 
 def test_eta_coefficients_vs_uniform_eta_fft():
-    """The cyclic-reduction eta coefficients H_n(xi) against an N-point FFT in eta
+    """The closed-form eta coefficients H_n(xi) against an N-point FFT in eta
     of resolvent_kernel, for |n| <= 20. The FFT sums the aliases H_{n + jN};
     with H_n = G^n H_0 (G = H_1 H_0^-1) and H_-n = P H_n P they sum to
     S(n) = (I - G^N)^-1 G^n H_0 over j >= 0 and T(n) = (I - G^N)^-1 G^(N-n) H_0
@@ -327,40 +334,66 @@ def test_z_sweep_propagates_bugs(monkeypatch):
 
 
 def test_linalg_errors_become_typed_errors(monkeypatch):
-    """A singular pointwise inverse, a LinAlgError inside cyclic reduction and a
-    cyclic reduction that does not converge within its step cap are each a
-    SingularKernelError; a failed renewal solve is a ConditioningError."""
+    """A singular pointwise inverse, a singular batched A0 inverse and an eta root
+    moved across the unit circle are each a SingularKernelError; a failed
+    renewal solve is a ConditioningError."""
     solve = np.linalg.solve
+    laurent_blocks = genfun._laurent_blocks
 
     def singular(*_args, **_kwargs):
         raise np.linalg.LinAlgError("Singular matrix")
 
-    def singular_if(batched):
-        def patched(a, b):
-            if (np.ndim(a) > 2) == batched:
-                raise np.linalg.LinAlgError("Singular matrix")
-            return solve(a, b)
+    def one_sided(family):
+        """A_-1 scaled by 100 and A_1 not: det(I - zV) is no longer even in eta,
+        so both of its eta roots sit on one side of the unit circle."""
+        m_pp, m_mm, (u1, v1), cross = laurent_blocks(family)
+        return m_pp, m_mm, (100 * u1, v1), cross
 
-        return patched
+    def singular_unbatched(a, b):
+        if np.ndim(a) == 2:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(a, b)
 
     with monkeypatch.context() as m:
         m.setattr(genfun, "invert_grid_4x4", singular)
         with pytest.raises(SingularKernelError):
             resolvent_kernel(kraus_family(WalkParams(0.6, 0.3)), 0.5, 0.1, 0.2)
-
-    with monkeypatch.context() as m:
-        # the per-node solves of cyclic reduction are the batched ones
-        m.setattr(genfun.np.linalg, "solve", singular_if(batched=True))
+        # the A0 inverse at every xi node is the batched one
         for model in (Model.BALANCED, Model.CORRELATED):
-            with pytest.raises(SingularKernelError):
+            with pytest.raises(SingularKernelError, match="A0 is singular"):
                 recurrence_estimate(WalkParams(0.6, 0.3, model), 0.5, 4, 64)
     with monkeypatch.context() as m:
-        m.setattr(genfun, "_CR_MAX_STEPS", 1)
-        with pytest.raises(SingularKernelError, match="unconverged"):
-            recurrence_estimate(WalkParams(0.6, 0.3), 0.5, 4, 64)
-    monkeypatch.setattr(genfun.np.linalg, "solve", singular_if(batched=False))
+        m.setattr(genfun, "_laurent_blocks", one_sided)
+        for model in (Model.BALANCED, Model.CORRELATED):
+            with pytest.raises(SingularKernelError, match="unit circle"):
+                recurrence_estimate(WalkParams(0.6, 0.3, model), 0.5, 4, 64)
+    monkeypatch.setattr(genfun.np.linalg, "solve", singular_unbatched)
     with pytest.raises(ConditioningError):
         recurrence_estimate(WalkParams(0.6, 0.3), 0.5, 4, 64)
+
+
+def test_rank_two_cross_blocks_are_unsupported(monkeypatch):
+    """A real family whose cross shift blocks have rank 2 has no closed-form eta
+    coefficients, so it is refused before any work. Two unitaries mixed half
+    and half: S(C(0.4) x I), the coin then the shift, and (C(1.1) x I) S, the
+    shift then the coin (no library constructor mixes the two orders)."""
+
+    def no_work(*_args, **_kwargs):
+        raise AssertionError("harmonics computed for a rank-2 family")
+
+    monkeypatch.setattr(genfun, "_harmonics", no_work)
+    amp, coin = math.sqrt(0.5), coin_matrix(1.1)
+    shift_then_coin = TranslationKraus(
+        ((amp * coin @ np.diag([1.0, 0.0]), 1), (amp * coin @ np.diag([0.0, 1.0]), -1))
+    )
+    fam = TranslationKrausFamily((_coined_operator(coin_matrix(0.4), 0.5), shift_then_coin))
+    assert fam.is_real and fam.completeness_defect(np.linspace(0, 2 * np.pi, 9)) < 1e-12
+    for key in ((1, -1), (-1, 1)):
+        assert np.linalg.matrix_rank(shift_blocks(fam)[key]) == 2
+    with pytest.raises(UnsupportedFamilyError, match="rank"):
+        fourier_blocks(fam, 0.5, 4, grid_n=64)
+    with pytest.raises(UnsupportedFamilyError, match="rank"):
+        stieltjes_matrix(fam, 0.5, 4, grid_n=64)
 
 
 # --------------------------------------------------- balanced oracles up to Z_CAP
