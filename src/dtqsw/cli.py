@@ -107,6 +107,8 @@ def cmd_recur(args) -> int:
     thetas = sorted(parse_list(args.theta, parse_angle))
     ps = sorted(parse_list(args.p))
     zs = sorted(parse_list(args.z)) if args.z else list(genfun.DEFAULT_Z_SAMPLES)
+    if args.jobs < 1:
+        raise _UsageError(f"jobs must be >= 1, got {args.jobs}")
     _check_bounds(thetas, "theta", 0.0, math.pi / 2)
     _check_bounds(ps, "p", 0.0, 1.0)
     for z in zs:

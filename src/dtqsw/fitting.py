@@ -161,9 +161,9 @@ def minimize_unimodal(func, lo=0.0, hi=1.0, iterations=15):
     return p, func(p)
 
 
-def _crossover(func, target, lo, hi, iterations=15):
-    """Bisect for func = target, with func(lo) and func(hi) straddling it."""
-    f_lo = func(lo) - target
+def _crossover(func, target, lo, hi, f_lo, iterations=15):
+    """Bisect for func = target, with f_lo = func(lo) and func(hi) straddling it."""
+    f_lo -= target
     for _ in range(iterations):
         mid = 0.5 * (lo + hi)
         if (func(mid) - target) * (f_lo if f_lo != 0 else -1.0) > 0:
@@ -187,11 +187,12 @@ def find_minimum(func, iterations: int = 15) -> MinimumEstimate:
             interval_1e3=(0.0, 0.0), monotone=True,
         )
     p_min, r_min = minimize_unimodal(func, 0.0, 1.0, iterations)
+    f1 = func(1.0)
     intervals = []
     for offset in (1e-2, 1e-3):
         target = r_min + offset
-        lo = _crossover(func, target, 0.0, p_min, iterations) if func(0.0) > target else 0.0
-        hi = _crossover(func, target, 1.0, p_min, iterations) if func(1.0) > target else 1.0
+        lo = _crossover(func, target, 0.0, p_min, f0, iterations) if f0 > target else 0.0
+        hi = _crossover(func, target, 1.0, p_min, f1, iterations) if f1 > target else 1.0
         intervals.append((lo, hi))
     return MinimumEstimate(
         p_min=p_min, r_min=r_min,

@@ -41,13 +41,16 @@ The one quadrature is over xi: the substitution xi = s - sin(2 s)/2
 offsets so no node lands on the crest lines xi in pi*Z where I - zV comes
 close to singular as z -> 1. For real coin blocks the nodes xi and
 2pi - xi carry complex-conjugate coefficients, so only the first half is
-computed and the harmonics are real. resolvent_kernel, the pointwise
-resolvent at one momentum pair, is a pivoted 4 x 4 inverse for every
-family.
+computed and the harmonics are real. The cross basis reads only harmonics
+a (in xi) and n (in eta) of equal parity: one complex matmul per parity,
+with the nodes, phase rows and the index that gathers s(z) from the fold
+cached per (n_max, grid_n). resolvent_kernel, the pointwise resolvent at
+one momentum pair, is a pivoted 4 x 4 inverse for every family.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,13 +149,13 @@ def _laurent_blocks(family):
     return m_pp, m_mm, _rank_one(m_pm), _rank_one(m_mp)
 
 
-def _eta_coefficients(family, z, xi, n_max):
-    """H_n(xi) for 0 <= n <= n_max, shape (n_max + 1, len(xi), 4, 4).
+def _eta_parts(blocks, z, xi):
+    """(H0, H1, b) on the xi nodes, shapes (len(xi), 4, 4) twice and (len(xi),).
 
-    H_n multiplies exp(i n eta) in (I - zV)^-1; H_-n = P H_n P. The result
-    is a view of a node-major store, the layout the xi fold reads.
+    blocks are the _laurent_blocks of the family. H_n = b^(n-1) H1 for
+    n >= 1 multiplies exp(i n eta) in (I - zV)^-1, and H_-n = P H_n P.
     """
-    m_pp, m_mm, (u1, v1), (u2, v2) = _laurent_blocks(family)
+    m_pp, m_mm, (u1, v1), (u2, v2) = blocks
     phase = np.exp(-1j * xi)[:, None, None]
     a0 = np.eye(4) - z * (m_pp * phase + m_mm * phase.conj())
     # A_-1 = u[:, 0] v[:, 0]^T and A_1 = u[:, 1] v[:, 1]^T, the columns of u scaled by -z
@@ -188,35 +191,57 @@ def _eta_coefficients(family, z, xi, n_max):
     # L k R over the node stack, term by term: the inner sums have length 2
     lk = left[:, :, :1] * k[:, :, None, 0] + left[:, :, 1:] * k[:, :, None, 1]
     lkr = lk[..., :1] * right[:, None, 0] + lk[..., 1:] * right[:, None, 1]
-    h = np.empty(a0.shape[:1] + (n_max + 1, 16), dtype=complex)
-    h[:, 0] = (a0_inv - lkr[0]).reshape(-1, 16)
-    h[:, 1] = -lkr[1].reshape(-1, 16)
-    # H_n = b^(n-1) H1
-    for n in range(2, n_max + 1):
-        np.multiply(b[:, None], h[:, n - 1], out=h[:, n])
-    return h.reshape(a0.shape[:1] + (n_max + 1, 4, 4)).transpose(1, 0, 2, 3)
+    return a0_inv - lkr[0], -lkr[1], b
 
 
-def _harmonics(family, z, n_max, grid_n):
-    """Fourier coefficients of A: entry [a + n_max, b + n_max] multiplies
-    exp(i (a xi + b eta)), for |a|, |b| <= n_max.
+def _fold_index(d1, d2, n_max):
+    """Index into _fold's output of the 4 x 4 blocks at even offsets (d1, d2).
 
-    The conjugate nodes xi and 2pi - xi fold the xi sum into twice the real
-    part over the first half of the grid: one real matmul.
+    The block is harmonic a = (d1 + d2)/2 of H_-b, b = (d1 - d2)/2, which is
+    P H_b P for b > 0; a = b (mod 2), and block (q, j, k) of the fold is
+    a = 2j - n_max + q against n = 2k + q.
     """
+    a, b = (d1 + d2) // 2, (d1 - d2) // 2
+    q = a % 2
+    block = (q * (n_max + 1) + (a + n_max - q) // 2) * (n_max // 2 + 1) + abs(b) // 2
+    pair = np.where((b > 0)[..., None], _SWAP, np.arange(4))
+    return 16 * block[..., None, None] + 4 * pair[..., :, None] + pair[..., None, :]
+
+
+@functools.lru_cache(maxsize=8)
+def _tables(n_max, grid_n):
+    """First-half xi nodes, phase rows 2 w exp(i a xi) per parity of a (the
+    row a = n_max + 1 is never read) and the index of s(z) in _fold's output."""
     x, w = _subst_grid(grid_n)
-    half = grid_n // 2
-    x, w = x[:half], w[:half]
-    h = _eta_coefficients(family, z, x, n_max).transpose(1, 0, 2, 3)
-    angle = np.outer(np.arange(-n_max, n_max + 1), x)
-    phases = 2 * np.concatenate([np.cos(angle) * w, -np.sin(angle) * w], axis=1)
-    parts = np.concatenate([h.real, h.imag]).reshape(2 * half, -1)
-    # column n of low holds b = -n
-    low = (phases @ parts).reshape(2 * n_max + 1, n_max + 1, 4, 4)
-    harm = np.empty((2 * n_max + 1, 2 * n_max + 1, 4, 4))
-    harm[:, n_max::-1] = low
-    harm[:, n_max:] = low[:, :, _SWAP][:, :, :, _SWAP]
-    return harm
+    x, w = x[: grid_n // 2], w[: grid_n // 2]
+    rows = np.arange(-n_max, n_max + 1, 2)[None, :, None] + np.arange(2)[:, None, None]
+    phases = 2 * w * np.exp(1j * rows * x)
+    positions = np.array(cross_basis(n_max))
+    d1, d2 = (positions[:, None] - positions[None, :]).transpose(2, 0, 1)
+    index = _fold_index(d1, d2, n_max).transpose(0, 2, 1, 3).reshape(4 * len(positions), -1)
+    for table in (x, phases, index):
+        table.flags.writeable = False
+    return x, phases, index
+
+
+def _fold(family, z, n_max, grid_n):
+    """The xi fold, flat and real: block (q, j, k) is 2 Re sum_xi w exp(i a xi)
+    H_n(xi) over the first-half nodes, a = 2j - n_max + q and n = 2k + q."""
+    z = _check_z(z)
+    if n_max < 2 or n_max % 2:
+        raise ParameterError("n_max must be even and >= 2")
+    blocks = _laurent_blocks(family)  # refuses an unsupported family before any work
+    x, phases, _ = _tables(n_max, grid_n)
+    h0, h1, b = _eta_parts(blocks, z, x)
+    # powers[:, m] = b^(m-1), so H_m = powers[:, m] H1 for m >= 1; m = 0 is H0's slot
+    powers = np.ones((len(x), n_max + 2), dtype=complex)
+    powers[:, 2:] = b[:, None]
+    np.cumprod(powers, axis=1, out=powers)
+    # h[q, :, k] = H_(2k+q); H_(n_max+1) is never read
+    coef = np.ascontiguousarray(powers.reshape(len(x), -1, 2).transpose(2, 0, 1))
+    h = coef[..., None] * h1.reshape(-1, 1, 16)
+    h[0, :, 0] = h0.reshape(-1, 16)
+    return np.matmul(phases, h.reshape(2, len(x), -1)).real.ravel()
 
 
 def fourier_blocks(
@@ -227,18 +252,11 @@ def fourier_blocks(
     The keys are the even offsets with |d1| + |d2| <= 2 n_max, all the
     cross basis reads; odd offsets are never computed. The blocks are real.
     """
-    z = _check_z(z)
-    if n_max < 2 or n_max % 2:
-        raise ParameterError("n_max must be even and >= 2")
-    _laurent_blocks(family)  # refuses an unsupported family before any work
-    harm = _harmonics(family, z, n_max, grid_n)
+    fold = _fold(family, z, n_max, grid_n)
     span = range(-2 * n_max, 2 * n_max + 1, 2)
-    return {
-        (d1, d2): harm[(d1 + d2) // 2 + n_max, (d1 - d2) // 2 + n_max]
-        for d1 in span
-        for d2 in span
-        if abs(d1) + abs(d2) <= 2 * n_max
-    }
+    keys = [(d1, d2) for d1 in span for d2 in span if abs(d1) + abs(d2) <= 2 * n_max]
+    d1, d2 = np.array(keys).T
+    return dict(zip(keys, fold[_fold_index(d1, d2, n_max)]))
 
 
 def cross_basis(n_max: int) -> list:
@@ -268,14 +286,9 @@ class StieltjesMatrix:
 def stieltjes_matrix(
     family: TranslationKrausFamily, z: float, n_max: int, grid_n: int = 1024
 ) -> StieltjesMatrix:
-    """Assemble the real s(z) over the even cross basis from the Fourier blocks."""
-    blocks = fourier_blocks(family, z, n_max, grid_n)
+    """Assemble the real s(z) over the even cross basis: one gather from the xi fold."""
+    mat = _fold(family, z, n_max, grid_n)[_tables(n_max, grid_n)[2]]
     positions = cross_basis(n_max)
-    n_pos = len(positions)
-    where = {key: k for k, key in enumerate(blocks)}
-    pick = [[where[x - y, m - n] for y, n in positions] for x, m in positions]
-    mat = np.array(list(blocks.values()))[pick]
-    mat = mat.transpose(0, 2, 1, 3).reshape(4 * n_pos, 4 * n_pos)
     return StieltjesMatrix(z=z, n_max=n_max, positions=positions, matrix=mat)
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dtqsw import cli
 from dtqsw.cli import CSV_HEADER, main, parse_angle, parse_list
 
 
@@ -59,6 +60,19 @@ def test_recur_usage_errors(capsys):
     assert code == 1 and "error" in err
     code, _, err = run_cli(capsys, "recur", "--theta", "0.7pi", "--p", "0.5")
     assert code == 1 and "theta" in err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_recur_jobs_below_one_is_usage_error(capsys, monkeypatch, jobs):
+    """A worker count below 1 is refused, not run serially; no pool is started."""
+
+    def no_pool(*_args, **_kwargs):
+        raise AssertionError("process pool started")
+
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", no_pool)
+    code, out, err = run_cli(capsys, "recur", "--theta", "0.25pi", "--p", "0.5",
+                             "--z", "0.5", "--nmax", "4", "--grid", "64", "--jobs", jobs)
+    assert code == 1 and "jobs" in err and out == ""
 
 
 def test_recur_partial_failure_exit_2(capsys):

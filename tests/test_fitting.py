@@ -1,3 +1,4 @@
+import collections
 import math
 
 import numpy as np
@@ -82,6 +83,23 @@ def test_find_minimum_interior():
     lo3, hi3 = est.interval_1e3
     assert lo3 == pytest.approx(0.4 - math.sqrt(1e-3), abs=5e-3)
     assert hi3 == pytest.approx(0.4 + math.sqrt(1e-3), abs=5e-3)
+
+
+def test_find_minimum_evaluates_each_endpoint_once():
+    """func(0) and func(1) are each evaluated once and reused by every crossover
+    bisection: 2 probes (func(1/32) < func(0) ends the monotonicity probe), 2 per
+    halving and the final value of the minimizer, then 15 bisection steps for each
+    of the four interval ends."""
+    calls = collections.Counter()
+
+    def profile(p):
+        calls[p] += 1
+        return (p - 0.4) ** 2 + 0.1
+
+    est = find_minimum(profile)
+    assert calls[0.0] == 1 and calls[1.0] == 1
+    assert sum(calls.values()) == 2 + (2 * 15 + 1) + 1 + 4 * 15
+    assert est == find_minimum(lambda p: (p - 0.4) ** 2 + 0.1)
 
 
 def test_find_minimum_monotone_profile():

@@ -32,7 +32,8 @@ from dtqsw._kernels import determinant_grid
 from dtqsw.genfun import (
     DEFAULT_Z_SAMPLES,
     Z_CAP,
-    _eta_coefficients,
+    _eta_parts,
+    _laurent_blocks,
     cross_basis,
 )
 from dtqsw.model import (
@@ -79,8 +80,8 @@ def test_resolvent_kernel_inverts(model):
 
 
 def test_eta_coefficients_vs_uniform_eta_fft():
-    """The closed-form eta coefficients H_n(xi) against an N-point FFT in eta
-    of resolvent_kernel, for |n| <= 20. The FFT sums the aliases H_{n + jN};
+    """The closed-form eta coefficients H_n(xi) = b^(n-1) H_1(xi) (n >= 1)
+    against an N-point FFT in eta of resolvent_kernel, for |n| <= 20. The FFT sums the aliases H_{n + jN};
     with H_n = G^n H_0 (G = H_1 H_0^-1) and H_-n = P H_n P they sum to
     S(n) = (I - G^N)^-1 G^n H_0 over j >= 0 and T(n) = (I - G^N)^-1 G^(N-n) H_0
     over j >= 1, so the FFT is S(n) + P T(n) P at n >= 0 and T(m) + P S(m) P
@@ -96,7 +97,9 @@ def test_eta_coefficients_vs_uniform_eta_fft():
             p = RNG.uniform(0, 1)
             xi = RNG.uniform(0, 2 * np.pi, 2)
             fam = kraus_family(WalkParams(theta, p, model))
-            h = _eta_coefficients(fam, z, xi, n_max)
+            h0, h1, b = _eta_parts(_laurent_blocks(fam), z, xi)
+            powers = b[None, :, None, None] ** np.arange(n_max)[:, None, None, None]
+            h = np.concatenate([h0[None], powers * h1])
             for i, x in enumerate(xi):
                 a = resolvent_kernel(fam, z, (x + eta) / 2, (x - eta) / 2)
                 fft = np.fft.fft(a, axis=0) / n_fft
@@ -170,9 +173,10 @@ def test_complex_coin_family_is_unsupported(monkeypatch):
     blocks, so a complex family is refused before any work."""
 
     def no_work(*_args, **_kwargs):
-        raise AssertionError("harmonics computed for a complex family")
+        raise AssertionError("xi tables or eta coefficients computed for a complex family")
 
-    monkeypatch.setattr(genfun, "_harmonics", no_work)
+    for stage in ("_tables", "_eta_parts"):
+        monkeypatch.setattr(genfun, stage, no_work)
     fam = balanced_family_from_coin(general_coin(math.pi / 3, 0.7, 1.1, 0.0), 0.3)
     with pytest.raises(UnsupportedFamilyError):
         fourier_blocks(fam, 0.5, 4, grid_n=64)
@@ -263,6 +267,34 @@ def test_stieltjes_transpose_symmetry_and_reality():
         for j in range(s.dim):
             ti, tj = transpose_index(i), transpose_index(j)
             assert abs(s.matrix[i, j] - s.matrix[ti, tj]) < 1e-12
+
+
+@pytest.mark.parametrize("model", [Model.BALANCED, Model.CORRELATED])
+@pytest.mark.parametrize("n_max", [4, 20])
+def test_stieltjes_gather_matches_block_assembly(model, n_max):
+    """The one-index gather of s(z) against s(z) assembled block by block from
+    fourier_blocks, (x, m), (y, n) -> block (x - y, m - n): both parities of
+    the fold and the coin-pair swap of the b > 0 blocks."""
+    fam = kraus_family(WalkParams(0.9, 0.35, model))
+    positions = cross_basis(n_max)
+    for z in (0.5, 0.999, Z_CAP):
+        blocks = fourier_blocks(fam, z, n_max, grid_n=256)
+        ref = np.block([[blocks[x - y, m - n] for y, n in positions] for x, m in positions])
+        s = stieltjes_matrix(fam, z, n_max, grid_n=256).matrix
+        assert s.shape == ref.shape
+        assert np.max(np.abs(s - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_xi_tables_cache_keeps_values():
+    """A point is the same bit for bit after the tables of another truncation
+    are built in between, and a refused grid is refused again."""
+    params = WalkParams(math.pi / 4, 0.35)
+    first = recurrence_estimate(params, 0.999, 20, 1024)
+    recurrence_estimate(params, 0.999, 4, 64)
+    assert recurrence_estimate(params, 0.999, 20, 1024) == first
+    for _ in range(2):
+        with pytest.raises(ParameterError):
+            recurrence_estimate(params, 0.999, 4, 66)
 
 
 # --------------------------------------------------------- recurrence estimate
@@ -379,9 +411,10 @@ def test_rank_two_cross_blocks_are_unsupported(monkeypatch):
     shift then the coin (no library constructor mixes the two orders)."""
 
     def no_work(*_args, **_kwargs):
-        raise AssertionError("harmonics computed for a rank-2 family")
+        raise AssertionError("xi tables or eta coefficients computed for a rank-2 family")
 
-    monkeypatch.setattr(genfun, "_harmonics", no_work)
+    for stage in ("_tables", "_eta_parts"):
+        monkeypatch.setattr(genfun, stage, no_work)
     amp, coin = math.sqrt(0.5), coin_matrix(1.1)
     shift_then_coin = TranslationKraus(
         ((amp * coin @ np.diag([1.0, 0.0]), 1), (amp * coin @ np.diag([0.0, 1.0]), -1))
