@@ -237,11 +237,16 @@ def _fold(family, z, n_max, grid_n):
     powers = np.ones((len(x), n_max + 2), dtype=complex)
     powers[:, 2:] = b[:, None]
     np.cumprod(powers, axis=1, out=powers)
-    # h[q, :, k] = H_(2k+q); H_(n_max+1) is never read
-    coef = np.ascontiguousarray(powers.reshape(len(x), -1, 2).transpose(2, 0, 1))
-    h = coef[..., None] * h1.reshape(-1, 1, 16)
-    h[0, :, 0] = h0.reshape(-1, 16)
-    return np.matmul(phases, h.reshape(2, len(x), -1)).real.ravel()
+    # H_(2k+q) = coef[:, k, q] H1; H_(n_max+1) is never read
+    coef = powers.reshape(len(x), -1, 2)
+    fold = np.empty(phases.shape[:2] + (coef.shape[1] * 16,))
+    for q in (0, 1):  # one parity at a time holds half the harmonics in memory
+        h = coef[:, :, q, None] * h1.reshape(-1, 1, 16)
+        if q == 0:
+            h[:, 0] = h0.reshape(-1, 16)
+        fold[q] = (phases[q] @ h.reshape(len(x), -1)).real
+        del h
+    return fold.ravel()
 
 
 def fourier_blocks(
