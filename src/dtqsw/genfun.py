@@ -305,30 +305,24 @@ def recurrence_estimate(
 ) -> float:
     """R~_z from the renewal equation, traced against rho0 = |R,0><R,0|.
 
-    Solves s(z) w = e_(R,R,0,0) with a pivoted solve and returns
+    w = s(z)^-1 e_(R,R,0,0), a column of one LU inverse, gives
     (1 - w_(R,R,0,0) - w_(L,L,0,0)) / z. The initial coin choice is WLOG
     by coin-state independence.
     """
     z = _check_z(z)
     family = kraus_family(params)
     s = stieltjes_matrix(family, z, n_max, grid_n)
-    rhs = np.zeros(s.dim)
     i_rr = s.basis_index(0, 0, 0)
     i_ll = s.basis_index(3, 0, 0)
-    rhs[i_rr] = 1.0
-
     try:
-        cond = np.linalg.cond(s.matrix)
-        if cond > _COND_LIMIT:
-            raise ConditioningError(
-                f"condition estimate {cond:.3e} at z={z}, n_max={n_max}"
-            )
-        w = np.linalg.solve(s.matrix, rhs)
+        inv = np.linalg.inv(s.matrix)
     except np.linalg.LinAlgError as exc:
-        raise ConditioningError(f"solve failed at z={z}, n_max={n_max}: {exc}") from exc
-
-    value = (1.0 - w[i_rr] - w[i_ll]) / z
-    return float(value)
+        raise ConditioningError(f"inverse failed at z={z}, n_max={n_max}: {exc}") from exc
+    # kappa_2 <= dim kappa_1, so this refuses every s(z) with kappa_2 above the limit (and NaN)
+    cond = s.dim * np.linalg.norm(s.matrix, 1) * np.linalg.norm(inv, 1)
+    if not cond <= _COND_LIMIT:
+        raise ConditioningError(f"condition estimate {cond:.3e} at z={z}, n_max={n_max}")
+    return float((1.0 - inv[i_rr, i_rr] - inv[i_ll, i_rr]) / z)
 
 
 @dataclass(frozen=True)

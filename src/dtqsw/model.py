@@ -73,7 +73,9 @@ class WalkParams:
 def coin_matrix(theta: float) -> np.ndarray:
     """Real symmetric coin [[cos, sin], [sin, -cos]]; involution for any theta."""
     theta = _check_theta(theta)
-    c, s = math.cos(theta), math.sin(theta)
+    # math.cos(pi/2) is 6.1e-17, not 0: its powers in the eta fold are subnormal
+    c = 0.0 if theta == math.pi / 2 else math.cos(theta)
+    s = math.sin(theta)
     return np.array([[c, s], [s, -c]])
 
 

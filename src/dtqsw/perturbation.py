@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .directsim import _span
-from .errors import BracketError, ParameterError
+from .directsim import DEFAULT_MEMORY_CAP, _span
+from .errors import BracketError, ParameterError, ResourceError
 from .model import Model, TranslationKraus, WalkParams, kraus_family
 
 __all__ = [
@@ -106,15 +106,19 @@ def slope_series(theta: float, t_max: int, model: Model = Model.BALANCED) -> Slo
     branch state spawned so far: step t applies U and the origin projection
     to the whole stack, _CHUNK states per call, then appends P E_j v_{t-1}
     for each classical E_j. Coin, Kraus blocks and start are real, so the
-    stack is float64: half the memory of a complex one.
+    stack is float64: half the memory of a complex one. ResourceError when
+    the stack and the trajectory would exceed DEFAULT_MEMORY_CAP.
     """
+    # the classical Kraus operators at unit weight (p = 1, coined operator dropped)
+    params = WalkParams(theta, 1.0, model)
+    branches = kraus_family(params).kraus[1:]
+    nbytes = 16 * (len(branches) * t_max + t_max + 1) * (2 * t_max + 3)
+    if nbytes > DEFAULT_MEMORY_CAP:
+        raise ResourceError(f"slope series would need {nbytes} bytes (cap {DEFAULT_MEMORY_CAP})")
     traj = monitored_trajectory(theta, t_max)
     origin = traj.origin
     survival = traj.survival()
     step = kraus_family(WalkParams(theta, 0.0)).kraus[0]
-    # the classical Kraus operators at unit weight (p = 1, coined operator dropped)
-    params = WalkParams(theta, 1.0, model)
-    branches = kraus_family(params).kraus[1:]
 
     stack = np.zeros((2, len(branches) * t_max, 2 * origin + 1))
     values = np.empty(t_max)

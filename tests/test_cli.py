@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dtqsw import cli
+from dtqsw import cli, perturbation
 from dtqsw.cli import CSV_HEADER, main, parse_angle, parse_list
 
 
@@ -88,7 +88,9 @@ def test_recur_partial_failure_exit_2(capsys):
 
 def test_recur_error_with_comma_stays_in_its_column(capsys, monkeypatch, tmp_path):
     """A ConditioningError names "z=..., n_max=...": its "," must not add a field."""
-    monkeypatch.setattr(np.linalg, "cond", lambda _m: 1e15)
+    inv = np.linalg.inv
+    # the renewal inverse (the one 2-D call; A0's is batched) scaled past the condition limit
+    monkeypatch.setattr(np.linalg, "inv", lambda m: inv(m) * (1e15 if np.ndim(m) == 2 else 1))
     out_path = tmp_path / "recur.csv"
     code, _, _ = run_cli(
         capsys, "recur", "--theta", "0.25pi", "--p", "0.5",
@@ -106,6 +108,14 @@ def test_recur_error_with_comma_stays_in_its_column(capsys, monkeypatch, tmp_pat
     # fit reads the failed rows as rows, and has no finite value to fit
     code, out, _ = run_cli(capsys, "fit", "--input", str(out_path))
     assert code == 0 and out.strip() == "model,theta,p,form,a,a_err,b,b_err,c,c_err,residual_norm"
+
+
+def test_slope_over_memory_cap_is_typed_error(capsys, monkeypatch):
+    """A slope stack over the memory cap exits 1 with "error: ...", not a traceback."""
+    monkeypatch.setattr(perturbation, "DEFAULT_MEMORY_CAP", 1000)
+    code, out, err = run_cli(capsys, "slope", "--theta", "0.25pi", "--t", "10")
+    assert code == 1 and out == ""
+    assert err.startswith("error: slope series would need") and "Traceback" not in err
 
 
 def test_evolve_hadamard_first_steps(capsys):

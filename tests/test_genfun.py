@@ -32,6 +32,7 @@ from dtqsw._kernels import determinant_grid
 from dtqsw.genfun import (
     DEFAULT_Z_SAMPLES,
     Z_CAP,
+    StieltjesMatrix,
     _eta_parts,
     _laurent_blocks,
     cross_basis,
@@ -368,8 +369,8 @@ def test_z_sweep_propagates_bugs(monkeypatch):
 def test_linalg_errors_become_typed_errors(monkeypatch):
     """A singular pointwise inverse, a singular batched A0 inverse and an eta root
     moved across the unit circle are each a SingularKernelError; a failed
-    renewal solve is a ConditioningError."""
-    solve = np.linalg.solve
+    renewal inverse is a ConditioningError."""
+    inv = np.linalg.inv
     laurent_blocks = genfun._laurent_blocks
 
     def singular(*_args, **_kwargs):
@@ -381,10 +382,10 @@ def test_linalg_errors_become_typed_errors(monkeypatch):
         m_pp, m_mm, (u1, v1), cross = laurent_blocks(family)
         return m_pp, m_mm, (100 * u1, v1), cross
 
-    def singular_unbatched(a, b):
+    def singular_unbatched(a):
         if np.ndim(a) == 2:
             raise np.linalg.LinAlgError("Singular matrix")
-        return solve(a, b)
+        return inv(a)
 
     with monkeypatch.context() as m:
         m.setattr(genfun, "invert_grid_4x4", singular)
@@ -399,9 +400,52 @@ def test_linalg_errors_become_typed_errors(monkeypatch):
         for model in (Model.BALANCED, Model.CORRELATED):
             with pytest.raises(SingularKernelError, match="unit circle"):
                 recurrence_estimate(WalkParams(0.6, 0.3, model), 0.5, 4, 64)
-    monkeypatch.setattr(genfun.np.linalg, "solve", singular_unbatched)
+    # only the 2-D renewal inverse fails: the batched A0 inverse still runs
+    monkeypatch.setattr(genfun.np.linalg, "inv", singular_unbatched)
     with pytest.raises(ConditioningError):
         recurrence_estimate(WalkParams(0.6, 0.3), 0.5, 4, 64)
+
+
+@pytest.mark.parametrize("rotated", [False, True])
+def test_condition_guard_is_never_looser_than_kappa_2(monkeypatch, rotated):
+    """The guard reads dim * kappa_1 >= kappa_2, so an s(z) with kappa_2 = 2e14 is
+    refused; at kappa_2 = 1e3 the inverse's column gives the value of a plain solve,
+    within 1e-15 for diagonal s(z) and kappa_2 eps |R~| for U diag(sigma) V^T
+    with random orthogonal U and V."""
+    n_max, z = 4, 0.5
+    positions = cross_basis(n_max)
+    dim = 4 * len(positions)
+    rng = np.random.default_rng(11)
+    u, v = (np.linalg.qr(rng.standard_normal((dim, dim)))[0] for _ in range(2))
+
+    def with_kappa(kappa):
+        mat = np.diag(np.geomspace(1.0, 1.0 / kappa, dim))
+        mat = u @ mat @ v.T if rotated else mat
+        assert np.linalg.cond(mat) == pytest.approx(kappa, rel=1e-2)
+        monkeypatch.setattr(
+            genfun, "stieltjes_matrix",
+            lambda *_args: StieltjesMatrix(z, n_max, positions, mat),
+        )
+        return mat
+
+    with_kappa(2e14)
+    with pytest.raises(ConditioningError, match="condition estimate"):
+        recurrence_estimate(WalkParams(0.6, 0.3), z, n_max, 64)
+    mat = with_kappa(1e3)
+    s = StieltjesMatrix(z, n_max, positions, mat)
+    i_rr, i_ll = s.basis_index(0, 0, 0), s.basis_index(3, 0, 0)
+    w = np.linalg.solve(mat, np.eye(dim)[i_rr])
+    expected = (1.0 - w[i_rr] - w[i_ll]) / z
+    tol = 1e3 * np.finfo(float).eps * abs(expected) if rotated else 1e-15
+    assert abs(recurrence_estimate(WalkParams(0.6, 0.3), z, n_max, 64) - expected) <= tol
+
+
+@pytest.mark.parametrize("p", [0.0, 0.35])
+def test_pi_half_stieltjes_has_no_subnormal_entries(p):
+    """cos(pi/2) is exactly 0 in the coin, so the eta root b is 0 rather than about
+    1e-30 and none of its powers underflow: no nonzero entry of s(z) is subnormal."""
+    mat = stieltjes_matrix(kraus_family(WalkParams(math.pi / 2, p)), 0.999, 20).matrix
+    assert np.abs(mat[mat != 0]).min() >= np.finfo(float).tiny
 
 
 def test_rank_two_cross_blocks_are_unsupported(monkeypatch):

@@ -28,7 +28,8 @@ def test_coin_matrix_examples():
     h = coin_matrix(math.pi / 4)
     assert np.allclose(h, np.array([[1, 1], [1, -1]]) / math.sqrt(2))
     assert np.allclose(coin_matrix(0.0), np.diag([1.0, -1.0]))
-    assert np.allclose(coin_matrix(math.pi / 2), np.array([[0, 1], [1, 0]]))
+    # exact: cos(pi/2) rounds to 6.1e-17, and the coin must not carry it
+    assert np.array_equal(coin_matrix(math.pi / 2), np.array([[0, 1], [1, 0]]))
 
 
 def test_coin_matrix_out_of_range():

@@ -17,7 +17,8 @@ from dtqsw import (
     step_monitored,
     theta_star,
 )
-from dtqsw.errors import BracketError, ParameterError
+from dtqsw import perturbation
+from dtqsw.errors import BracketError, ParameterError, ResourceError
 
 
 def _slope_fd(model, theta, t, eps=1e-5):
@@ -140,3 +141,15 @@ def test_monitored_trajectory_norm_decreasing():
     s = traj.survival()
     assert np.all(np.diff(s) <= 1e-14)
     assert s[0] == 1.0
+
+
+def test_slope_series_memory_cap(monkeypatch):
+    """The stack and the trajectory of slope_series(t) take 16 (B t + t + 1)(2 t + 3)
+    bytes for B branch operators; one byte over the cap is a ResourceError."""
+    t = 10
+    nbytes = 16 * (2 * t + t + 1) * (2 * t + 3)  # balanced: two branch operators
+    monkeypatch.setattr(perturbation, "DEFAULT_MEMORY_CAP", nbytes)
+    assert slope_series(math.pi / 4, t).values.shape == (t,)
+    monkeypatch.setattr(perturbation, "DEFAULT_MEMORY_CAP", nbytes - 1)
+    with pytest.raises(ResourceError, match="slope series"):
+        slope_series(math.pi / 4, t)
