@@ -46,6 +46,11 @@ a (in xi) and n (in eta) of equal parity: one complex matmul per parity,
 with the nodes, phase rows and the index that gathers s(z) from the fold
 cached per (n_max, grid_n). resolvent_kernel, the pointwise resolvent at
 one momentum pair, is a pivoted 4 x 4 inverse for every family.
+
+The renewal takes one LU inverse of s(z): w is one of its columns, and the
+exact kappa_1 = |s|_1 |s^-1|_1 comes with it at no extra factorization.
+The guard refuses dim kappa_1 > 1e14: |A|_2 <= sqrt(dim) |A|_1, so
+kappa_2 <= dim kappa_1, and it refuses every s(z) a kappa_2 limit would.
 """
 
 from __future__ import annotations
