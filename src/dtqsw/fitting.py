@@ -1,8 +1,11 @@
 """Power-law fits of R~_z-vs-z data and minima location in p.
 
 The fit model a - b(1-z)^c is linear in (a, b) once c is fixed, so the
-nonlinear part reduces to a 1-d search over the exponent: a coarse grid
-followed by golden-section refinement. No initialization heuristics are
+nonlinear part reduces to a 1-d search over the exponent. The linear part
+is a closed-form least squares, vectorised over an array of exponents:
+one call scores a coarse grid, then the bracket around the best exponent
+is re-gridded with 33 points per round until it is as narrow as 60
+golden-section steps would leave it. No initialization heuristics are
 needed and the fit cannot diverge.
 """
 
@@ -27,6 +30,7 @@ __all__ = [
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 C_GRID = np.linspace(0.1, 2.0, 96)
+_REGRID = 33  # points per round of bracket refinement
 
 
 class FitForm(enum.Enum):
@@ -35,20 +39,22 @@ class FitForm(enum.Enum):
 
 
 def _solve_linear(t, values, c, form):
-    """Least-squares (a, b) and SSE for fixed exponent c; t = 1 - z."""
-    basis = t**c
+    """Least-squares (a, b) and SSE for each exponent in c; t = 1 - z.
+
+    c may be an array: the results have its shape. a - b t^c is fitted
+    with centred sums, which do not lose the small slope to cancellation.
+    """
+    basis = t ** np.asarray(c, dtype=float)[..., None]
     if form is FitForm.A_MINUS_B:
-        design = np.column_stack([np.ones_like(t), -basis])
-        coef, *_ = np.linalg.lstsq(design, values, rcond=None)
-        a, b = coef
-        resid = values - (a - b * basis)
+        mean = basis.mean(axis=-1)
+        centred = basis - mean[..., None]
+        b = -(centred @ (values - values.mean())) / np.sum(centred * centred, axis=-1)
+        a = values.mean() + b * mean
     else:
-        rhs = 1.0 - values
-        denom = float(basis @ basis)
-        b = float(basis @ rhs) / denom
-        a = 1.0
-        resid = values - (1.0 - b * basis)
-    return float(a), float(b), float(resid @ resid)
+        b = (basis @ (1.0 - values)) / np.sum(basis * basis, axis=-1)
+        a = np.ones_like(b)
+    resid = values - (a[..., None] - b[..., None] * basis)
+    return a, b, np.sum(resid * resid, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -88,28 +94,16 @@ def fit_power_law(points, form: FitForm = FitForm.A_MINUS_B) -> PowerLawFit:
         raise ParameterError("values must be finite")
     t = 1.0 - z
 
-    def sse(c):
-        return _solve_linear(t, values, c, form)[2]
-
-    errors = [sse(c) for c in C_GRID]
-    i_best = int(np.argmin(errors))
+    i_best = int(np.argmin(_solve_linear(t, values, C_GRID, form)[2]))
     lo = C_GRID[max(i_best - 1, 0)]
     hi = C_GRID[min(i_best + 1, len(C_GRID) - 1)]
-    # golden-section refinement on the exponent
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1, f2 = sse(x1), sse(x2)
-    for _ in range(60):
-        if f1 < f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = sse(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = sse(x2)
+    width = _GOLDEN**60 * (hi - lo)
+    while hi - lo > width:
+        grid = np.linspace(lo, hi, _REGRID)
+        i_best = int(np.argmin(_solve_linear(t, values, grid, form)[2]))
+        lo, hi = grid[max(i_best - 1, 0)], grid[min(i_best + 1, _REGRID - 1)]
     c = 0.5 * (lo + hi)
-    a, b, best_sse = _solve_linear(t, values, c, form)
+    a, b, best_sse = (float(v) for v in _solve_linear(t, values, c, form))
 
     # asymptotic covariance from the Jacobian of the residuals
     basis = t**c

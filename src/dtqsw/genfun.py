@@ -47,22 +47,32 @@ with the nodes, phase rows and the index that gathers s(z) from the fold
 cached per (n_max, grid_n). resolvent_kernel, the pointwise resolvent at
 one momentum pair, is a pivoted 4 x 4 inverse for every family.
 
-The renewal takes one LU inverse of s(z): w is one of its columns, and the
-exact kappa_1 = |s|_1 |s^-1|_1 comes with it at no extra factorization.
-The guard refuses dim kappa_1 > 1e14: |A|_2 <= sqrt(dim) |A|_1, so
-kappa_2 <= dim kappa_1, and it refuses every s(z) a kappa_2 limit would.
+s(z) commutes with the ket-bra swap J : (x, m, c, c') -> (m, x, c', c),
+the Hermiticity of rho (for real Kraus operators the map commutes with the
+transpose of rho). J fixes e_(R,R,0,0) and e_(L,L,0,0) and swaps the other
+basis vectors in pairs, so on J-even and J-odd vectors s(z) splits into
+two blocks, 83 x 83 and 81 x 81 at n_max = 20. The renewal inverts both
+blocks of the J-average of s(z), after refusing with ConsistencyError an
+s(z) that differs from J s(z) J by more than 1e-9 of its largest entry
+(rounding leaves under 1e-11). The source e_(R,R,0,0) is J-even, so w
+comes from the even block, and the exact kappa_1 = |s|_1 |s^-1|_1 is read
+from the two inverses in O(dim^2). The guard refuses dim kappa_1 > 1e14:
+|A|_2 <= sqrt(dim) |A|_1, so kappa_2 <= dim kappa_1, and it refuses every
+s(z) a kappa_2 limit would.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from ._kernels import invert_grid_4x4
 from .errors import (
     ConditioningError,
+    ConsistencyError,
     DtqswError,
     OutOfValidatedRangeError,
     ParameterError,
@@ -90,6 +100,9 @@ DEFAULT_Z_SAMPLES = (
 )
 
 _COND_LIMIT = 1e14
+# largest |s - J s J| accepted, relative to the largest |s_ij|; rounding leaves < 1e-11
+_SWAP_TOL = 1e-9
+_FLUSH = np.sqrt(np.finfo(float).tiny)
 # coin pair 2*c + c' -> 2*c' + c
 _SWAP = [0, 2, 1, 3]
 
@@ -213,20 +226,40 @@ def _fold_index(d1, d2, n_max):
     return 16 * block[..., None, None] + 4 * pair[..., :, None] + pair[..., None, :]
 
 
+class _Tables(NamedTuple):
+    x: np.ndarray  # first-half xi nodes
+    phases: np.ndarray  # 2 w exp(i a xi) per parity of a
+    index: np.ndarray  # s(z) in _fold's output
+    split: np.ndarray  # flat index of [s[ket, ket] | s[ket, J ket]] in s
+    mirror: np.ndarray  # the same rows of J s J: [s[J ket, J ket] | s[J ket, ket]]
+
+
 @functools.lru_cache(maxsize=8)
 def _tables(n_max, grid_n):
     """First-half xi nodes, phase rows 2 w exp(i a xi) per parity of a (the
-    row a = n_max + 1 is never read) and the index of s(z) in _fold's output."""
+    row a = n_max + 1 is never read), the index of s(z) in _fold's output, and
+    the gathers of the ket rows of s(z) and of J s(z) J, J the ket-bra swap,
+    with ket the two fixed points of J (e_(R,R,0,0) first, then e_(L,L,0,0))
+    followed by one basis index of each swapped pair."""
     x, w = _subst_grid(grid_n)
     x, w = x[: grid_n // 2], w[: grid_n // 2]
     rows = np.arange(-n_max, n_max + 1, 2)[None, :, None] + np.arange(2)[:, None, None]
     phases = 2 * w * np.exp(1j * rows * x)
-    positions = np.array(cross_basis(n_max))
-    d1, d2 = (positions[:, None] - positions[None, :]).transpose(2, 0, 1)
+    positions = cross_basis(n_max)
+    pos = np.array(positions)
+    d1, d2 = (pos[:, None] - pos[None, :]).transpose(2, 0, 1)
     index = _fold_index(d1, d2, n_max).transpose(0, 2, 1, 3).reshape(4 * len(positions), -1)
-    for table in (x, phases, index):
+    # J: (x, m, c, c') -> (m, x, c', c)
+    where = {pos: i for i, pos in enumerate(positions)}
+    j = (4 * np.array([where[m, x] for x, m in positions])[:, None] + _SWAP).ravel()
+    basis = np.arange(len(j))
+    ket = np.concatenate([np.flatnonzero(j == basis), np.flatnonzero(basis < j)])
+    split = len(j) * ket[:, None] + np.concatenate([ket, j[ket]])
+    mirror = len(j) * j[ket][:, None] + np.concatenate([j[ket], ket])
+    tables = _Tables(x, phases, index, split, mirror)
+    for table in tables:
         table.flags.writeable = False
-    return x, phases, index
+    return tables
 
 
 def _fold(family, z, n_max, grid_n):
@@ -236,12 +269,17 @@ def _fold(family, z, n_max, grid_n):
     if n_max < 2 or n_max % 2:
         raise ParameterError("n_max must be even and >= 2")
     blocks = _laurent_blocks(family)  # refuses an unsupported family before any work
-    x, phases, _ = _tables(n_max, grid_n)
+    x, phases = _tables(n_max, grid_n)[:2]
     h0, h1, b = _eta_parts(blocks, z, x)
     # powers[:, m] = b^(m-1), so H_m = powers[:, m] H1 for m >= 1; m = 0 is H0's slot
     powers = np.ones((len(x), n_max + 2), dtype=complex)
     powers[:, 2:] = b[:, None]
     np.cumprod(powers, axis=1, out=powers)
+    # parts below sqrt(tiny) ~ 1e-154 go to 0, so no product b^(n-1) H1 is subnormal
+    # (subnormal arithmetic is slow; at theta = pi/2 - 1e-9 |b| is ~1e-17)
+    for table in (powers, h1):
+        parts = table.view(float)
+        parts[np.abs(parts) < _FLUSH] = 0.0
     # H_(2k+q) = coef[:, k, q] H1; H_(n_max+1) is never read
     coef = powers.reshape(len(x), -1, 2)
     fold = np.empty(phases.shape[:2] + (coef.shape[1] * 16,))
@@ -297,9 +335,41 @@ def stieltjes_matrix(
     family: TranslationKrausFamily, z: float, n_max: int, grid_n: int = 1024
 ) -> StieltjesMatrix:
     """Assemble the real s(z) over the even cross basis: one gather from the xi fold."""
-    mat = _fold(family, z, n_max, grid_n)[_tables(n_max, grid_n)[2]]
+    mat = _fold(family, z, n_max, grid_n)[_tables(n_max, grid_n).index]
     positions = cross_basis(n_max)
     return StieltjesMatrix(z=z, n_max=n_max, positions=positions, matrix=mat)
+
+
+def _split_renewal(matrix, tables):
+    """(w_(R,R,0,0) + w_(L,L,0,0), kappa_1) with w = s^-1 e_(R,R,0,0), from the
+    J-even and J-odd blocks of s = matrix; tables are _tables' for its truncation.
+
+    s is replaced by its J-average (s + JsJ)/2, after a ConsistencyError if
+    the two differ by more than _SWAP_TOL of the largest entry (the ket rows
+    hold every entry of s - JsJ up to sign). With P = s[ket, ket] and
+    Q = s[ket, J ket], the even block is P + Q and the odd block is P - Q
+    without the two fixed points. A column of s and its J image sum to
+    sum|P| + sum|Q| over the paired rows. With M and O the block inverses,
+    s^-1 reads 2M between fixed points, M between a fixed point and a pair,
+    and (M +- O)/2 in each pair of pairs, so a fixed column of |s^-1| sums
+    to 2 sum|M| and a paired one to sum|M| over the fixed rows plus
+    sum max(|M|, |O|) over pairs.
+    """
+    flat = matrix.ravel()
+    g, mirror = flat[tables.split], flat[tables.mirror]
+    asymmetry = np.max(np.abs(g - mirror))
+    if asymmetry > _SWAP_TOL * np.max(np.abs(g)):
+        raise ConsistencyError(
+            f"s(z) is not symmetric under the ket-bra swap: |s - JsJ| = {asymmetry:.3e}"
+        )
+    g = (g + mirror) / 2
+    p, q = g[:, : len(g)], g[:, len(g):]
+    s_norm = np.max(np.abs(p).sum(axis=0) + np.abs(q[2:]).sum(axis=0))
+    even = np.linalg.inv(p + q)
+    even_abs, odd_abs = np.abs(even), np.abs(np.linalg.inv((p - q)[2:, 2:]))
+    fixed = 2 * even_abs[:, :2].sum(axis=0)
+    paired = even_abs[:2, 2:].sum(axis=0) + np.maximum(even_abs[2:, 2:], odd_abs).sum(axis=0)
+    return 2 * (even[0, 0] + even[1, 0]), s_norm * max(fixed.max(), paired.max())
 
 
 def recurrence_estimate(
@@ -310,24 +380,21 @@ def recurrence_estimate(
 ) -> float:
     """R~_z from the renewal equation, traced against rho0 = |R,0><R,0|.
 
-    w = s(z)^-1 e_(R,R,0,0), a column of one LU inverse, gives
+    w = s(z)^-1 e_(R,R,0,0), solved in the J-even block of s(z), gives
     (1 - w_(R,R,0,0) - w_(L,L,0,0)) / z. The initial coin choice is WLOG
     by coin-state independence.
     """
     z = _check_z(z)
-    family = kraus_family(params)
-    s = stieltjes_matrix(family, z, n_max, grid_n)
-    i_rr = s.basis_index(0, 0, 0)
-    i_ll = s.basis_index(3, 0, 0)
+    s = stieltjes_matrix(kraus_family(params), z, n_max, grid_n)
     try:
-        inv = np.linalg.inv(s.matrix)
+        w, kappa_1 = _split_renewal(s.matrix, _tables(n_max, grid_n))
     except np.linalg.LinAlgError as exc:
         raise ConditioningError(f"inverse failed at z={z}, n_max={n_max}: {exc}") from exc
     # kappa_2 <= dim kappa_1, so this refuses every s(z) with kappa_2 above the limit (and NaN)
-    cond = s.dim * np.linalg.norm(s.matrix, 1) * np.linalg.norm(inv, 1)
+    cond = s.dim * kappa_1
     if not cond <= _COND_LIMIT:
         raise ConditioningError(f"condition estimate {cond:.3e} at z={z}, n_max={n_max}")
-    return float((1.0 - inv[i_rr, i_rr] - inv[i_ll, i_rr]) / z)
+    return float((1.0 - w) / z)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ import pytest
 
 from dtqsw import FitForm, find_minimum, fit_power_law
 from dtqsw.errors import FitDegenerateError, ParameterError
-from dtqsw.fitting import minimize_unimodal
+from dtqsw.fitting import _solve_linear, minimize_unimodal
 
 Z_GRID = np.array(
     [0.99, 0.995, 0.998, 0.999, 0.9995, 0.9998, 0.9999, 0.99995, 0.99998, 0.99999]
@@ -46,6 +46,64 @@ def test_fit_with_noise_stays_close():
     fit = fit_power_law(list(zip(Z_GRID, values)))
     assert fit.c_fit == pytest.approx(0.55, abs=1e-2)
     assert fit.c_err > 0.0 and math.isfinite(fit.c_err)
+
+
+@pytest.mark.parametrize("form", list(FitForm))
+def test_solve_linear_matches_lstsq(form):
+    """The closed-form least squares, called once on an array of exponents,
+    against np.linalg.lstsq at each exponent: a, b and SSE to 1e-12 relative."""
+    rng = np.random.default_rng(5)
+    t = 1 - Z_GRID
+    values = 0.8 - 0.3 * t**0.55 + rng.normal(0, 1e-4, len(t))
+    exponents = np.array([0.1, 0.3, 0.55, 0.9, 1.4, 2.0])
+    a, b, sse = _solve_linear(t, values, exponents, form)
+    assert a.shape == b.shape == sse.shape == exponents.shape
+    for k, c in enumerate(exponents):
+        basis = t**c
+        if form is FitForm.A_MINUS_B:
+            (a_ref, b_ref), res, *_ = np.linalg.lstsq(
+                np.column_stack([np.ones_like(t), -basis]), values, rcond=None
+            )
+        else:
+            a_ref = 1.0
+            (b_ref,), res, *_ = np.linalg.lstsq(-basis[:, None], values - 1.0, rcond=None)
+        assert a[k] == pytest.approx(a_ref, rel=1e-12)
+        assert b[k] == pytest.approx(b_ref, rel=1e-12)
+        assert sse[k] == pytest.approx(res[0], rel=1e-12)
+
+
+# R~_z of balanced recur sweeps (theta, p) at the ten default z, and the limit a
+# and exponent c the golden-section search found on them (a - b(1-z)^c form)
+RECUR_SWEEPS = {
+    (math.pi / 4, 0.25): (
+        [0.6772358066566639, 0.6842569880699363, 0.6885955661303135, 0.690069580655455,
+         0.6908137315084861, 0.6912637538509311, 0.6914150213608333, 0.691491370448275,
+         0.6915379614081588, 0.6915540077320912],
+        0.6915779094021763, 0.974661738692653,
+    ),
+    (math.pi / 4, 0.95): (
+        [0.8662672732927492, 0.9022032973878883, 0.9341215871342416, 0.949631060655323,
+         0.9598313023188743, 0.967726824731197, 0.9709895070972284, 0.9728669965228678,
+         0.9741469840824503, 0.9746253227868142],
+        0.9774989099114777, 0.5989214265584657,
+    ),
+    (2 * math.pi / 5, 0.9): (
+        [0.8703755450670096, 0.9058656811702571, 0.9375155183506625, 0.9530820428090402,
+         0.9635062386876909, 0.9718015529253176, 0.9753439469910213, 0.9774386934877457,
+         0.9789071934925955, 0.9794703078807413],
+        0.9825600558092976, 0.579778553789824,
+    ),
+}
+
+
+@pytest.mark.parametrize("key", RECUR_SWEEPS)
+def test_fit_of_recur_sweeps_matches_golden_section(key):
+    """Re-gridding the bracket finds the golden-section optimum of recur data:
+    a within 1e-9 and c within 1e-7."""
+    values, a_ref, c_ref = RECUR_SWEEPS[key]
+    fit = fit_power_law(list(zip(Z_GRID, values)))
+    assert abs(fit.a_fit - a_ref) <= 1e-9
+    assert abs(fit.c_fit - c_ref) <= 1e-7
 
 
 def test_fit_validation():

@@ -23,6 +23,7 @@ from dtqsw import (
 from dtqsw.directsim import _apply_cptp
 from dtqsw.errors import (
     ConditioningError,
+    ConsistencyError,
     OutOfValidatedRangeError,
     ParameterError,
     SingularKernelError,
@@ -48,6 +49,7 @@ from dtqsw.model import (
 from dtqsw.oracles import pi_half_weighted_return
 
 RNG = np.random.default_rng(7)
+TOL_PI_HALF = 1e-6  # acceptance 06: theta = pi/2 against the closed form
 
 
 # ------------------------------------------------------------ determinant path
@@ -406,38 +408,146 @@ def test_linalg_errors_become_typed_errors(monkeypatch):
         recurrence_estimate(WalkParams(0.6, 0.3), 0.5, 4, 64)
 
 
+def _ket_bra_swap(n_max):
+    """J as a permutation of the cross basis, (x, m, c, c') -> (m, x, c', c), and
+    its orbits: the fixed basis indices and one (i, J i) per swapped pair."""
+    positions = cross_basis(n_max)
+    j = np.array([
+        4 * positions.index((m, x)) + 2 * (pair % 2) + pair // 2
+        for x, m in positions for pair in range(4)
+    ])
+    basis = np.arange(len(j))
+    fixed = basis[j == basis]
+    pairs = [(i, j[i]) for i in basis if i < j[i]]
+    return j, fixed, pairs
+
+
+def _swap_eigenbasis(n_max):
+    """Orthogonal Q whose columns are the J-even vectors (fixed points, then
+    (e_i + e_Ji)/sqrt 2 per pair) followed by the J-odd ones (e_i - e_Ji)/sqrt 2."""
+    j, fixed, pairs = _ket_bra_swap(n_max)
+    q = np.zeros((len(j), len(j)))
+    q[fixed, np.arange(len(fixed))] = 1.0
+    for k, (i, ji) in enumerate(pairs):
+        even, odd = len(fixed) + k, len(fixed) + len(pairs) + k
+        q[[i, ji], even] = math.sqrt(0.5)
+        q[[i, ji], odd] = math.sqrt(0.5), -math.sqrt(0.5)
+    return q, len(fixed) + len(pairs)
+
+
+def _inject_stieltjes(monkeypatch, z, n_max, mat):
+    positions = cross_basis(n_max)
+    monkeypatch.setattr(
+        genfun, "stieltjes_matrix", lambda *_args: StieltjesMatrix(z, n_max, positions, mat),
+    )
+    return StieltjesMatrix(z, n_max, positions, mat)
+
+
+@pytest.mark.parametrize("model", [Model.BALANCED, Model.CORRELATED])
+def test_stieltjes_commutes_with_ket_bra_swap(model):
+    """s(z) = J s(z) J within the split's tolerance, J the ket-bra swap (the
+    Hermiticity of rho), over the edges of the validated domain."""
+    j, fixed, pairs = _ket_bra_swap(20)
+    assert list(fixed) == [4 * cross_basis(20).index((0, 0)) + pair for pair in (0, 3)]
+    assert len(pairs) == 81
+    for theta in (0.0, math.pi / 4, math.pi / 2):
+        for p in (0.0, 0.35, 1.0):
+            for z in (0.5, Z_CAP):
+                mat = stieltjes_matrix(kraus_family(WalkParams(theta, p, model)), z, 20).matrix
+                asymmetry = np.max(np.abs(mat - mat[np.ix_(j, j)]))
+                assert asymmetry <= genfun._SWAP_TOL * np.max(np.abs(mat))
+
+
+@pytest.mark.parametrize("model", [Model.BALANCED, Model.CORRELATED])
+def test_split_renewal_matches_full_inverse(model):
+    """R~ from the two half-size blocks is within 1e-12 of R~ read from a plain
+    164 x 164 inverse, and |s|_1 |s^-1|_1 from the blocks within 1e-9 of the
+    plain kappa_1. At theta = 1.1, p = 0, z = Z_CAP, where s(z) is least
+    J-symmetric, blocks taken from s(z) without the J-average miss by 1.3e-12."""
+    for theta in (0.0, math.pi / 4, 1.1, math.pi / 2):
+        for p in (0.0, 0.35, 1.0):
+            for z in (0.5, Z_CAP):
+                params = WalkParams(theta, p, model)
+                s = stieltjes_matrix(kraus_family(params), z, 20)
+                inv = np.linalg.inv(s.matrix)
+                i_rr, i_ll = s.basis_index(0, 0, 0), s.basis_index(3, 0, 0)
+                plain = (1.0 - inv[i_rr, i_rr] - inv[i_ll, i_rr]) / z
+                assert abs(recurrence_estimate(params, z) - plain) <= 1e-12
+                _, kappa_1 = genfun._split_renewal(s.matrix, genfun._tables(20, 1024))
+                plain = np.linalg.norm(s.matrix, 1) * np.linalg.norm(inv, 1)
+                assert kappa_1 == pytest.approx(plain, rel=1e-9)
+
+
 @pytest.mark.parametrize("rotated", [False, True])
 def test_condition_guard_is_never_looser_than_kappa_2(monkeypatch, rotated):
     """The guard reads dim * kappa_1 >= kappa_2, so an s(z) with kappa_2 = 2e14 is
-    refused; at kappa_2 = 1e3 the inverse's column gives the value of a plain solve,
-    within 1e-15 for diagonal s(z) and kappa_2 eps |R~| for U diag(sigma) V^T
-    with random orthogonal U and V."""
+    refused; at kappa_2 = 1e3 the split gives the value of a plain solve, within
+    1e-15 for diagonal s(z) and kappa_2 eps |R~| for Q U diag(sigma) V^T Q^T with
+    random orthogonal U and V, block diagonal in the J eigenbasis Q. Both commute
+    with the ket-bra swap J, as every s(z) does."""
     n_max, z = 4, 0.5
-    positions = cross_basis(n_max)
-    dim = 4 * len(positions)
+    j, fixed, pairs = _ket_bra_swap(n_max)
+    q, n_even = _swap_eigenbasis(n_max)
+    dim = len(j)
     rng = np.random.default_rng(11)
-    u, v = (np.linalg.qr(rng.standard_normal((dim, dim)))[0] for _ in range(2))
+
+    def block_orthogonal():
+        m = np.zeros((dim, dim))
+        for lo, hi in ((0, n_even), (n_even, dim)):
+            m[lo:hi, lo:hi] = np.linalg.qr(rng.standard_normal((hi - lo, hi - lo)))[0]
+        return m
+
+    u, v = block_orthogonal(), block_orthogonal()
 
     def with_kappa(kappa):
-        mat = np.diag(np.geomspace(1.0, 1.0 / kappa, dim))
-        mat = u @ mat @ v.T if rotated else mat
+        if rotated:
+            sigma = np.diag(np.geomspace(1.0, 1.0 / kappa, dim))
+            mat = q @ u @ sigma @ v.T @ q.T
+        else:
+            orbits = np.geomspace(1.0, 1.0 / kappa, n_even)
+            diag = np.empty(dim)
+            diag[fixed] = orbits[: len(fixed)]
+            for value, (i, ji) in zip(orbits[len(fixed):], pairs):
+                diag[[i, ji]] = value
+            mat = np.diag(diag)
+        assert np.max(np.abs(mat - mat[np.ix_(j, j)])) <= 1e-15
         assert np.linalg.cond(mat) == pytest.approx(kappa, rel=1e-2)
-        monkeypatch.setattr(
-            genfun, "stieltjes_matrix",
-            lambda *_args: StieltjesMatrix(z, n_max, positions, mat),
-        )
-        return mat
+        return _inject_stieltjes(monkeypatch, z, n_max, mat)
 
     with_kappa(2e14)
     with pytest.raises(ConditioningError, match="condition estimate"):
         recurrence_estimate(WalkParams(0.6, 0.3), z, n_max, 64)
-    mat = with_kappa(1e3)
-    s = StieltjesMatrix(z, n_max, positions, mat)
+    s = with_kappa(1e3)
     i_rr, i_ll = s.basis_index(0, 0, 0), s.basis_index(3, 0, 0)
-    w = np.linalg.solve(mat, np.eye(dim)[i_rr])
+    w = np.linalg.solve(s.matrix, np.eye(dim)[i_rr])
     expected = (1.0 - w[i_rr] - w[i_ll]) / z
     tol = 1e3 * np.finfo(float).eps * abs(expected) if rotated else 1e-15
     assert abs(recurrence_estimate(WalkParams(0.6, 0.3), z, n_max, 64) - expected) <= tol
+
+
+def test_non_swap_symmetric_stieltjes_is_refused(monkeypatch):
+    """An s(z) that does not commute with the ket-bra swap is a ConsistencyError
+    (a DtqswError, so a sweep records it) rather than a silently wrong split:
+    a well-conditioned diagonal s(z) with distinct entries, and the J-symmetric
+    identity with one entry moved by 1e-6; moved by 1e-13 it is solved."""
+    n_max, z = 4, 0.5
+    dim = 4 * len(cross_basis(n_max))
+    params = WalkParams(0.6, 0.3)
+    _inject_stieltjes(monkeypatch, z, n_max, np.diag(np.geomspace(1.0, 1e-3, dim)))
+    with pytest.raises(ConsistencyError, match="ket-bra swap"):
+        recurrence_estimate(params, z, n_max, 64)
+    i = _ket_bra_swap(n_max)[2][0][0]
+    for shift in (1e-13, 1e-6):
+        mat = np.eye(dim)
+        mat[i, 0] += shift
+        _inject_stieltjes(monkeypatch, z, n_max, mat)
+        if shift < genfun._SWAP_TOL:
+            assert recurrence_estimate(params, z, n_max, 64) == pytest.approx(0.0, abs=1e-12)
+        else:
+            with pytest.raises(ConsistencyError, match="ket-bra swap"):
+                recurrence_estimate(params, z, n_max, 64)
+    point = z_sweep(params, [z], n_max, 64)[0]
+    assert math.isnan(point.value) and point.error.startswith("ConsistencyError")
 
 
 @pytest.mark.parametrize("p", [0.0, 0.35])
@@ -446,6 +556,20 @@ def test_pi_half_stieltjes_has_no_subnormal_entries(p):
     1e-30 and none of its powers underflow: no nonzero entry of s(z) is subnormal."""
     mat = stieltjes_matrix(kraus_family(WalkParams(math.pi / 2, p)), 0.999, 20).matrix
     assert np.abs(mat[mat != 0]).min() >= np.finfo(float).tiny
+
+
+def test_flushed_powers_keep_r_tilde_near_pi_half(monkeypatch):
+    """At theta = pi/2 - 1e-9 the eta root |b| is 1e-19 to 1e-16, so high powers
+    of b and their products with H1 would be subnormal; the fold flushes them
+    to 0. R~ is within 1e-15 of the unflushed fold's value, and within the
+    acceptance tolerance of the pi/2 closed form."""
+    params, z = WalkParams(math.pi / 2 - 1e-9, 0.35), 0.999
+    flushed = recurrence_estimate(params, z)
+    mat = stieltjes_matrix(kraus_family(params), z, 20).matrix
+    assert np.abs(mat[mat != 0]).min() >= np.finfo(float).tiny
+    monkeypatch.setattr(genfun, "_FLUSH", 0.0)
+    assert abs(flushed - recurrence_estimate(params, z)) <= 1e-15
+    assert abs(flushed - pi_half_weighted_return(z, 0.35)) < TOL_PI_HALF
 
 
 def test_rank_two_cross_blocks_are_unsupported(monkeypatch):
