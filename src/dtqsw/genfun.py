@@ -245,13 +245,12 @@ def _tables(n_max, grid_n):
     x, w = x[: grid_n // 2], w[: grid_n // 2]
     rows = np.arange(-n_max, n_max + 1, 2)[None, :, None] + np.arange(2)[:, None, None]
     phases = 2 * w * np.exp(1j * rows * x)
-    positions = cross_basis(n_max)
-    pos = np.array(positions)
-    d1, d2 = (pos[:, None] - pos[None, :]).transpose(2, 0, 1)
+    positions = np.array(cross_basis(n_max))
+    d1, d2 = (positions[:, None] - positions[None, :]).transpose(2, 0, 1)
     index = _fold_index(d1, d2, n_max).transpose(0, 2, 1, 3).reshape(4 * len(positions), -1)
     # J: (x, m, c, c') -> (m, x, c', c)
-    where = {pos: i for i, pos in enumerate(positions)}
-    j = (4 * np.array([where[m, x] for x, m in positions])[:, None] + _SWAP).ravel()
+    where = {point: i for i, point in enumerate(cross_basis(n_max))}
+    j = (4 * np.array([where[point[::-1]] for point in where])[:, None] + _SWAP).ravel()
     basis = np.arange(len(j))
     ket = np.concatenate([np.flatnonzero(j == basis), np.flatnonzero(basis < j)])
     split = len(j) * ket[:, None] + np.concatenate([ket, j[ket]])
