@@ -300,7 +300,7 @@ def build_parser(config=None) -> _Parser:
     p_recur.add_argument("--p", required=True)
     p_recur.add_argument("--z", help="default: the ten standard samples")
     p_recur.add_argument("--nmax", type=int, default=20)
-    p_recur.add_argument("--grid", type=int, default=1024)
+    p_recur.add_argument("--grid", type=int, default=genfun.DEFAULT_GRID)
     p_recur.add_argument("--jobs", type=int, default=1)
 
     p_evolve = sub.add_parser("evolve", help="direct monitored evolution series")
@@ -326,7 +326,7 @@ def build_parser(config=None) -> _Parser:
     p_min.add_argument("--theta", required=True)
     p_min.add_argument("--z", type=float, default=0.99999)
     p_min.add_argument("--nmax", type=int, default=20)
-    p_min.add_argument("--grid", type=int, default=1024)
+    p_min.add_argument("--grid", type=int, default=genfun.DEFAULT_GRID)
     p_min.add_argument("--iterations", type=int, default=15)
 
     p_orc = sub.add_parser("oracle", help="closed-form reference values")

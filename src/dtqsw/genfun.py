@@ -36,10 +36,13 @@ circle one root of the quadratic lies inside it and one outside, and
 products at any z. A family with complex coin blocks or a cross block
 of rank > 1 raises UnsupportedFamilyError.
 
-The one quadrature is over xi: the substitution xi = s - sin(2 s)/2
-(Jacobian 1 - cos(2 s)), sampled by the rectangle rule at half-interval
-offsets so no node lands on the crest lines xi in pi*Z where I - zV comes
-close to singular as z -> 1. For real coin blocks the nodes xi and
+The one quadrature is over xi: Sidi's sin^4 substitution
+xi = s - (2/3) sin(2 s) + (1/12) sin(4 s), whose Jacobian (8/3) sin^4(s)
+flattens the integrand at the crest lines xi in pi*Z, where I - zV comes
+close to singular as z -> 1. It is sampled by the rectangle rule at
+half-interval offsets, so no node lands on a crest line, with weight
+(8/3) sin^4(s) / grid_n per node (DEFAULT_GRID = 512 nodes). The map is
+odd about s = pi: xi(2pi - s) = 2pi - xi(s). For real coin blocks the nodes xi and
 2pi - xi carry complex-conjugate coefficients, so only the first half is
 computed and the harmonics are real. The cross basis reads only harmonics
 a (in xi) and n (in eta) of equal parity: one complex matmul per parity,
@@ -82,6 +85,7 @@ from .errors import (
 from .model import TranslationKrausFamily, WalkParams, kraus_family, momentum_kernel, shift_blocks
 
 __all__ = [
+    "DEFAULT_GRID",
     "DEFAULT_Z_SAMPLES",
     "Z_CAP",
     "StieltjesMatrix",
@@ -95,6 +99,7 @@ __all__ = [
 ]
 
 Z_CAP = 0.99999
+DEFAULT_GRID = 512
 DEFAULT_Z_SAMPLES = (
     0.99, 0.995, 0.998, 0.999, 0.9995, 0.9998, 0.9999, 0.99995, 0.99998, 0.99999,
 )
@@ -103,6 +108,9 @@ _COND_LIMIT = 1e14
 # largest |s - J s J| accepted, relative to the largest |s_ij|; rounding leaves < 1e-11
 _SWAP_TOL = 1e-9
 _FLUSH = np.sqrt(np.finfo(float).tiny)
+# _laurent_blocks of the most recent families; a recur sweep reads one family 10 times
+_LAURENT: dict = {}
+_LAURENT_SIZE = 32
 # coin pair 2*c + c' -> 2*c' + c
 _SWAP = [0, 2, 1, 3]
 
@@ -136,7 +144,8 @@ def _subst_grid(grid_n: int) -> tuple[np.ndarray, np.ndarray]:
     if grid_n <= 0 or grid_n % 4:
         raise ParameterError("grid_n must be a positive multiple of 4")
     s = (np.arange(grid_n) + 0.5) * (2 * np.pi / grid_n)
-    return s - 0.5 * np.sin(2 * s), (1.0 - np.cos(2 * s)) / grid_n
+    xi = s - (2.0 / 3.0) * np.sin(2 * s) + np.sin(4 * s) / 12.0
+    return xi, (8.0 / 3.0) * np.sin(s) ** 4 / grid_n
 
 
 def _rank_one(m):
@@ -154,17 +163,31 @@ def _laurent_blocks(family):
     """M++, M-- and rank-one factors (u, v) of M+- and M-+, from model.shift_blocks.
 
     Raises UnsupportedFamilyError for complex coin blocks (conjugate-node
-    fold, coin-pair swap) or a cross block of rank > 1.
+    fold, coin-pair swap) or a cross block of rank > 1. The blocks are kept,
+    read-only, for the last _LAURENT_SIZE families, keyed by the coin blocks
+    and shifts of every Kraus operator; a refused family is never kept.
     """
     if not family.is_real:
         raise UnsupportedFamilyError(
-            "fourier_blocks requires real coin blocks (conjugate-node fold, coin-pair swap)"
+            "complex coin blocks: the conjugate-node fold and the coin-pair swap need real ones"
         )
-    blocks = shift_blocks(family)
-    m_pp, m_mm, m_pm, m_mp = (
-        blocks.get(key, np.zeros((4, 4))) for key in ((1, 1), (-1, -1), (1, -1), (-1, 1))
+    key = tuple(
+        tuple((shift, block.dtype.str, block.tobytes()) for block, shift in op.terms)
+        for op in family.kraus
     )
-    return m_pp, m_mm, _rank_one(m_pm), _rank_one(m_mp)
+    blocks = _LAURENT.pop(key, None)
+    if blocks is None:
+        shifts = shift_blocks(family)
+        m_pp, m_mm, m_pm, m_mp = (
+            shifts.get(pair, np.zeros((4, 4))) for pair in ((1, 1), (-1, -1), (1, -1), (-1, 1))
+        )
+        blocks = m_pp, m_mm, _rank_one(m_pm), _rank_one(m_mp)
+        for array in (m_pp, m_mm, *blocks[2], *blocks[3]):
+            array.flags.writeable = False
+    _LAURENT[key] = blocks  # a dict keeps insertion order: the most recent family is last
+    if len(_LAURENT) > _LAURENT_SIZE:
+        _LAURENT.pop(next(iter(_LAURENT)), None)
+    return blocks
 
 
 def _eta_parts(blocks, z, xi):
@@ -292,7 +315,7 @@ def _fold(family, z, n_max, grid_n):
 
 
 def fourier_blocks(
-    family: TranslationKrausFamily, z: float, n_max: int, grid_n: int = 1024
+    family: TranslationKrausFamily, z: float, n_max: int, grid_n: int = DEFAULT_GRID
 ) -> dict:
     """Map (d1, d2) -> 4x4 block A_{xm,yn}(z) with d1 = x - y, d2 = m - n.
 
@@ -331,7 +354,7 @@ class StieltjesMatrix:
 
 
 def stieltjes_matrix(
-    family: TranslationKrausFamily, z: float, n_max: int, grid_n: int = 1024
+    family: TranslationKrausFamily, z: float, n_max: int, grid_n: int = DEFAULT_GRID
 ) -> StieltjesMatrix:
     """Assemble the real s(z) over the even cross basis: one gather from the xi fold."""
     mat = _fold(family, z, n_max, grid_n)[_tables(n_max, grid_n).index]
@@ -375,7 +398,7 @@ def recurrence_estimate(
     params: WalkParams,
     z: float,
     n_max: int = 20,
-    grid_n: int = 1024,
+    grid_n: int = DEFAULT_GRID,
 ) -> float:
     """R~_z from the renewal equation, traced against rho0 = |R,0><R,0|.
 
@@ -407,7 +430,7 @@ def z_sweep(
     params: WalkParams,
     z_list=None,
     n_max: int = 20,
-    grid_n: int = 1024,
+    grid_n: int = DEFAULT_GRID,
 ) -> list:
     """One recurrence estimate per z; a DtqswError is recorded as a failed point."""
     if z_list is None:

@@ -333,3 +333,19 @@ def test_cli_matches_library(capsys):
     ref = recurrence_estimate(WalkParams(0.3 * math.pi, 0.4), 0.9,
                               n_max=8, grid_n=256)
     assert value == pytest.approx(ref, abs=1e-12)
+
+
+def test_default_grid_is_genfun_default(capsys):
+    """recur and minima read genfun.DEFAULT_GRID; a recur row without --grid
+    says so in its grid column and holds the library's default value."""
+    from dtqsw import WalkParams, genfun, recurrence_estimate
+
+    parser = cli.build_parser()
+    for argv in (["recur", "--theta", "0.3pi", "--p", "0.4"], ["minima", "--theta", "0.3pi"]):
+        assert parser.parse_args(argv).grid == genfun.DEFAULT_GRID
+    code, out, _ = run_cli(capsys, "recur", "--theta", "0.3pi", "--p", "0.4", "--z", "0.999")
+    assert code == 0
+    fields = out.strip().splitlines()[1].split(",")
+    assert fields[4:6] == ["20", str(genfun.DEFAULT_GRID)]
+    ref = recurrence_estimate(WalkParams(0.3 * math.pi, 0.4), 0.999)
+    assert fields[8] == cli._fmt(ref)

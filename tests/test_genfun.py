@@ -173,18 +173,21 @@ def test_fourier_blocks_key_set_and_reality():
 
 def test_complex_coin_family_is_unsupported(monkeypatch):
     """The conjugate-node fold and the coin-pair swap hold only for real coin
-    blocks, so a complex family is refused before any work."""
+    blocks, so a complex family is refused before any work, on every call,
+    and leaves nothing in the Laurent block cache."""
 
     def no_work(*_args, **_kwargs):
         raise AssertionError("xi tables or eta coefficients computed for a complex family")
 
     for stage in ("_tables", "_eta_parts"):
         monkeypatch.setattr(genfun, stage, no_work)
+    monkeypatch.setattr(genfun, "_LAURENT", {})
     fam = balanced_family_from_coin(general_coin(math.pi / 3, 0.7, 1.1, 0.0), 0.3)
-    with pytest.raises(UnsupportedFamilyError):
-        fourier_blocks(fam, 0.5, 4, grid_n=64)
-    with pytest.raises(UnsupportedFamilyError):
-        stieltjes_matrix(fam, 0.5, 4, grid_n=64)
+    for route in (fourier_blocks, stieltjes_matrix, stieltjes_matrix):
+        with pytest.raises(UnsupportedFamilyError, match="complex coin blocks") as info:
+            route(fam, 0.5, 4, grid_n=64)
+        assert "fourier_blocks" not in str(info.value)
+    assert genfun._LAURENT == {}
 
 
 def test_fourier_blocks_small_z_is_identity():
@@ -473,7 +476,7 @@ def test_split_renewal_matches_full_inverse(model):
                 i_rr, i_ll = s.basis_index(0, 0, 0), s.basis_index(3, 0, 0)
                 plain = (1.0 - inv[i_rr, i_rr] - inv[i_ll, i_rr]) / z
                 assert abs(recurrence_estimate(params, z) - plain) <= 1e-12
-                _, kappa_1 = genfun._split_renewal(s.matrix, genfun._tables(20, 1024))
+                _, kappa_1 = genfun._split_renewal(s.matrix, genfun._tables(20, genfun.DEFAULT_GRID))
                 plain = np.linalg.norm(s.matrix, 1) * np.linalg.norm(inv, 1)
                 assert kappa_1 == pytest.approx(plain, rel=1e-9)
 
@@ -576,13 +579,15 @@ def test_rank_two_cross_blocks_are_unsupported(monkeypatch):
     """A real family whose cross shift blocks have rank 2 has no closed-form eta
     coefficients, so it is refused before any work. Two unitaries mixed half
     and half: S(C(0.4) x I), the coin then the shift, and (C(1.1) x I) S, the
-    shift then the coin (no library constructor mixes the two orders)."""
+    shift then the coin (no library constructor mixes the two orders). It is
+    refused on every call and leaves nothing in the Laurent block cache."""
 
     def no_work(*_args, **_kwargs):
         raise AssertionError("xi tables or eta coefficients computed for a rank-2 family")
 
     for stage in ("_tables", "_eta_parts"):
         monkeypatch.setattr(genfun, stage, no_work)
+    monkeypatch.setattr(genfun, "_LAURENT", {})
     amp, coin = math.sqrt(0.5), coin_matrix(1.1)
     shift_then_coin = TranslationKraus(
         ((amp * coin @ np.diag([1.0, 0.0]), 1), (amp * coin @ np.diag([0.0, 1.0]), -1))
@@ -591,10 +596,58 @@ def test_rank_two_cross_blocks_are_unsupported(monkeypatch):
     assert fam.is_real and fam.completeness_defect(np.linspace(0, 2 * np.pi, 9)) < 1e-12
     for key in ((1, -1), (-1, 1)):
         assert np.linalg.matrix_rank(shift_blocks(fam)[key]) == 2
-    with pytest.raises(UnsupportedFamilyError, match="rank"):
-        fourier_blocks(fam, 0.5, 4, grid_n=64)
-    with pytest.raises(UnsupportedFamilyError, match="rank"):
-        stieltjes_matrix(fam, 0.5, 4, grid_n=64)
+    for route in (fourier_blocks, stieltjes_matrix, stieltjes_matrix):
+        with pytest.raises(UnsupportedFamilyError, match="rank"):
+            route(fam, 0.5, 4, grid_n=64)
+    assert genfun._LAURENT == {}
+
+
+@pytest.mark.parametrize("grid_n", [64, genfun.DEFAULT_GRID, 2048])
+def test_sin4_substitution_nodes_and_weights(grid_n):
+    """Sidi's sin^4 rule: the weights sum to 1 and are the Jacobian of the map
+    (exp(i k xi) integrates to 0 for k = 1..4), the map is odd about s = pi
+    (the conjugate-node fold pairs xi with 2pi - xi), and xi is strictly
+    increasing with no node on a crest line xi in pi*Z. From grid 4096 on,
+    xi - pi at the middle nodes, about (8/15)(pi/grid_n)^5, is below half
+    a unit in the last place of pi, so those two nodes round onto it."""
+    xi, w = genfun._subst_grid(grid_n)
+    assert abs(w.sum() - 1.0) < 1e-14
+    assert max(abs(np.sum(w * np.exp(1j * k * xi))) for k in range(1, 5)) < 1e-14
+    assert np.all(w > 0)
+    assert np.max(np.abs(xi[::-1] - (2 * np.pi - xi))) < 1e-13
+    assert np.max(np.abs(w - w[::-1])) < 1e-14 * w.max()
+    assert np.all(np.diff(xi) > 0)
+    assert 0.0 < xi[0] and xi[grid_n // 2 - 1] < np.pi < xi[grid_n // 2] and xi[-1] < 2 * np.pi
+
+
+@pytest.mark.parametrize("model", [Model.BALANCED, Model.CORRELATED])
+@pytest.mark.parametrize("p", [0.0, 0.35])
+def test_default_grid_converged_at_zcap(model, p):
+    """At Z_CAP, where the xi integrand is sharpest, the default grid is within
+    5e-9 of grid 4096 (the sin^2 rule at grid 1024 missed by up to 2.1e-7)."""
+    params = WalkParams(math.pi / 4, p, model)
+    ref = recurrence_estimate(params, Z_CAP, 20, 4096)
+    assert abs(recurrence_estimate(params, Z_CAP) - ref) < 5e-9
+
+
+def test_laurent_cache_keeps_values_and_is_bounded(monkeypatch):
+    """R~ is the same bit for bit with a cold and a warm cache of the Laurent
+    blocks; the cache holds at most _LAURENT_SIZE families, the most recent."""
+    monkeypatch.setattr(genfun, "_LAURENT", {})
+    params = WalkParams(math.pi / 4, 0.35, Model.CORRELATED)
+    cold = recurrence_estimate(params, 0.999, 4, 64)
+    assert len(genfun._LAURENT) == 1
+    warm = recurrence_estimate(params, 0.999, 4, 64)
+    assert warm == cold and len(genfun._LAURENT) == 1
+    families = [kraus_family(WalkParams(0.9, p)) for p in np.linspace(0, 1, genfun._LAURENT_SIZE + 5)]
+    for fam in families:
+        genfun._laurent_blocks(fam)
+    assert len(genfun._LAURENT) == genfun._LAURENT_SIZE
+    assert recurrence_estimate(params, 0.999, 4, 64) == cold  # evicted, rebuilt
+    # the cached blocks cannot be changed in place
+    m_pp = genfun._laurent_blocks(families[-1])[0]
+    with pytest.raises(ValueError):
+        m_pp[0, 0] = 1.0
 
 
 # --------------------------------------------------- balanced oracles up to Z_CAP

@@ -153,7 +153,7 @@ def test_momentum_kernel_correlated_term_by_term():
 
 def test_momentum_kernel_rejects_complex_blocks():
     fam = balanced_family_from_coin(general_coin(0.5, 0.3, 0.2, 0.1), 0.2)
-    with pytest.raises(UnsupportedFamilyError):
+    with pytest.raises(UnsupportedFamilyError, match="real coin blocks"):
         momentum_kernel(fam, 0.1, 0.2)
 
 
