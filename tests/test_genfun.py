@@ -640,14 +640,13 @@ def test_laurent_cache_keeps_values_and_is_bounded(monkeypatch):
     warm = recurrence_estimate(params, 0.999, 4, 64)
     assert warm == cold and len(genfun._LAURENT) == 1
     families = [kraus_family(WalkParams(0.9, p)) for p in np.linspace(0, 1, genfun._LAURENT_SIZE + 5)]
-    for fam in families:
-        genfun._laurent_blocks(fam)
+    blocks = [genfun._laurent_blocks(fam) for fam in families]
     assert len(genfun._LAURENT) == genfun._LAURENT_SIZE
-    assert recurrence_estimate(params, 0.999, 4, 64) == cold  # evicted, rebuilt
-    # the cached blocks cannot be changed in place
-    m_pp = genfun._laurent_blocks(families[-1])[0]
-    with pytest.raises(ValueError):
-        m_pp[0, 0] = 1.0
+    assert genfun._laurent_blocks(families[-1]) is blocks[-1]  # kept
+    assert genfun._laurent_blocks(families[0]) is not blocks[0]  # evicted, rebuilt
+    assert recurrence_estimate(params, 0.999, 4, 64) == cold
+    with pytest.raises(ValueError):  # the cached blocks cannot be changed in place
+        blocks[-1][0][0, 0] = 1.0
 
 
 # --------------------------------------------------- balanced oracles up to Z_CAP
