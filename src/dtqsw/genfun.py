@@ -42,13 +42,14 @@ flattens the integrand at the crest lines xi in pi*Z, where I - zV comes
 close to singular as z -> 1. It is sampled by the rectangle rule at
 half-interval offsets, so no node lands on a crest line, with weight
 (8/3) sin^4(s) / grid_n per node (DEFAULT_GRID = 512 nodes). The map is
-odd about s = pi: xi(2pi - s) = 2pi - xi(s). For real coin blocks the nodes xi and
-2pi - xi carry complex-conjugate coefficients, so only the first half is
-computed and the harmonics are real. The cross basis reads only harmonics
-a (in xi) and n (in eta) of equal parity: one complex matmul per parity,
-with the nodes, phase rows and the index that gathers s(z) from the fold
-cached per (n_max, grid_n). resolvent_kernel, the pointwise resolvent at
-one momentum pair, is a pivoted 4 x 4 inverse for every family.
+odd about s = pi: xi(2pi - s) = 2pi - xi(s). For real coin blocks the
+nodes xi and 2pi - xi carry complex-conjugate coefficients, so only the
+first half is computed and the harmonics are real. The cross basis reads
+only harmonics a (in xi) and n (in eta) of equal parity: one complex
+matmul per parity, with the nodes, phase rows and the index that gathers
+s(z) from the fold cached per (n_max, grid_n). resolvent_kernel, the
+pointwise resolvent at one momentum pair, is a pivoted 4 x 4 inverse for
+every family.
 
 s(z) commutes with the ket-bra swap J : (x, m, c, c') -> (m, x, c', c),
 the Hermiticity of rho (for real Kraus operators the map commutes with the

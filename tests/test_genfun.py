@@ -476,7 +476,8 @@ def test_split_renewal_matches_full_inverse(model):
                 i_rr, i_ll = s.basis_index(0, 0, 0), s.basis_index(3, 0, 0)
                 plain = (1.0 - inv[i_rr, i_rr] - inv[i_ll, i_rr]) / z
                 assert abs(recurrence_estimate(params, z) - plain) <= 1e-12
-                _, kappa_1 = genfun._split_renewal(s.matrix, genfun._tables(20, genfun.DEFAULT_GRID))
+                tables = genfun._tables(20, genfun.DEFAULT_GRID)
+                _, kappa_1 = genfun._split_renewal(s.matrix, tables)
                 plain = np.linalg.norm(s.matrix, 1) * np.linalg.norm(inv, 1)
                 assert kappa_1 == pytest.approx(plain, rel=1e-9)
 
@@ -639,7 +640,8 @@ def test_laurent_cache_keeps_values_and_is_bounded(monkeypatch):
     assert len(genfun._LAURENT) == 1
     warm = recurrence_estimate(params, 0.999, 4, 64)
     assert warm == cold and len(genfun._LAURENT) == 1
-    families = [kraus_family(WalkParams(0.9, p)) for p in np.linspace(0, 1, genfun._LAURENT_SIZE + 5)]
+    p_values = np.linspace(0, 1, genfun._LAURENT_SIZE + 5)
+    families = [kraus_family(WalkParams(0.9, p)) for p in p_values]
     blocks = [genfun._laurent_blocks(fam) for fam in families]
     assert len(genfun._LAURENT) == genfun._LAURENT_SIZE
     assert genfun._laurent_blocks(families[-1]) is blocks[-1]  # kept
