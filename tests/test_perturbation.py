@@ -153,3 +153,144 @@ def test_slope_series_memory_cap(monkeypatch):
     monkeypatch.setattr(perturbation, "DEFAULT_MEMORY_CAP", nbytes - 1)
     with pytest.raises(ResourceError, match="slope series"):
         slope_series(math.pi / 4, t)
+
+
+def _counted(f):
+    """f with a call count in .calls."""
+    def wrapper(x):
+        wrapper.calls += 1
+        return f(x)
+    wrapper.calls = 0
+    return wrapper
+
+
+def _stub_cases(rng):
+    """(name, f, root) stubs over a seeded root: smooth, flat-spotted, steep, sign-only."""
+    root = rng.uniform(-1.0, 1.0)
+    scale = rng.uniform(0.1, 10.0)
+    up, down = rng.uniform(0.01, 100.0, size=2)
+    return [
+        ("linear", lambda x: scale * (x - root), root),
+        ("cubic flat spot", lambda x: (x - root) ** 3 + 1e-9 * (x - root), root),
+        ("steep tanh", lambda x: math.tanh(200.0 * (x - root)), root),
+        ("step", lambda x: up if x > root else (-down if x < root else 0.0), root),
+    ]
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_itp_root_contract_on_stubs(seed):
+    """Within tol/2 of the root after at most ceil(log2((hi - lo) / tol)) + 1
+    evaluations past the ends; bisection takes ceil(log2((hi - lo) / tol))."""
+    rng = np.random.default_rng(seed)
+    for name, f, root in _stub_cases(rng):
+        lo = root - rng.uniform(1e-3, 2.0)
+        hi = root + rng.uniform(1e-3, 2.0)
+        tol = 10.0 ** rng.uniform(-12, -2)
+        g = _counted(f)
+        x = perturbation._itp_root(g, lo, hi, f(lo), f(hi), tol)
+        # the final midpoint is rounded once: allow a few ulps beyond tol/2
+        assert abs(x - root) <= tol / 2 + 4 * np.spacing(abs(root) + hi - lo), name
+        assert g.calls <= math.ceil(math.log2((hi - lo) / tol)) + 1, name
+
+
+def test_itp_root_sign_only_needs_the_projection():
+    """A step with unequal sides makes regula falsi probe far from the root at
+    every step; only the minmax projection keeps the evaluation bound."""
+    f = _counted(lambda x: 1e6 if x > 0.123 else -1.0)
+    x = perturbation._itp_root(f, 0.0, 1.0, -1.0, 1e6, 1e-10)
+    assert abs(x - 0.123) <= 0.5e-10 + 1e-16
+    assert f.calls <= math.ceil(math.log2(1e10)) + 1
+
+
+def test_itp_root_returns_an_exact_zero_probe():
+    probes = []
+
+    def f(x):
+        probes.append(x)
+        return 0.0 if len(probes) == 3 else x - 0.3
+
+    x = perturbation._itp_root(f, 0.0, 1.0, -0.3, 0.7, 1e-12)
+    assert len(probes) == 3
+    assert x == probes[-1]
+
+
+def test_itp_root_ends_below_float_spacing():
+    """A tol far below the spacing of floats near the root still ends, after
+    at most ceil(log2((hi - lo) / tol)) + 1 evaluations."""
+    f = _counted(lambda x: x - 0.7)
+    x = perturbation._itp_root(f, 0.5, 1.0, -0.2, 0.3, 1e-300)
+    assert abs(x - 0.7) <= 2 * np.spacing(0.7)
+    assert f.calls <= math.ceil(math.log2(0.5 / 1e-300)) + 1
+
+
+def _capped_slope(monkeypatch, cap=50):
+    """slope_balanced replaced by a sign-only stub with a root at 0.29 pi that
+    raises after cap calls, so a theta_star that loops fails instead of hanging."""
+    calls = []
+
+    def stub(theta, t):
+        calls.append(theta)
+        if len(calls) > cap:
+            raise AssertionError(f"theta_star made more than {cap} slope calls")
+        return 1.0 if theta < 0.29 * math.pi else -1.0
+
+    monkeypatch.setattr(perturbation, "slope_balanced", stub)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"t": 0},
+        {"t": -3},
+        {"t": 60, "tol": 0.0},
+        {"t": 60, "tol": -1e-4},
+        {"t": 60, "tol": math.nan},
+        {"t": 60, "tol": math.inf},
+        {"t": 60, "bracket_lo": 0.295 * math.pi, "bracket_hi": 0.285 * math.pi},
+        {"t": 60, "bracket_lo": 0.29 * math.pi, "bracket_hi": 0.29 * math.pi},
+        {"t": 60, "bracket_lo": math.nan},
+        {"t": 60, "bracket_hi": math.inf},
+        {"t": 60, "bracket_lo": -math.inf},
+    ],
+)
+def test_theta_star_rejects_bad_arguments(monkeypatch, kwargs):
+    calls = _capped_slope(monkeypatch)
+    with pytest.raises(ParameterError):
+        theta_star(**kwargs)
+    assert not calls
+
+
+def test_theta_star_sign_only_stub_meets_its_contract(monkeypatch):
+    calls = _capped_slope(monkeypatch)
+    ts = theta_star(60, tol=1e-9)
+    assert abs(ts - 0.29 * math.pi) <= 0.5e-9 + 1e-15
+    width = 0.01 * math.pi
+    assert len(calls) <= 2 + math.ceil(math.log2(width / 1e-9)) + 1
+
+
+def test_theta_star_matches_a_fine_bisection_in_seven_calls(monkeypatch):
+    """theta_star(60) against the same slope bisected to 1e-9, and its count of
+    slope_balanced calls (bisection makes 11 at the default bracket and tol)."""
+    t, tol = 60, 1e-4
+    lo, hi = 0.285 * math.pi, 0.295 * math.pi
+    f_lo = slope_balanced(lo, t)
+    while hi - lo > 1e-9:
+        mid = 0.5 * (lo + hi)
+        f_mid = slope_balanced(mid, t)
+        if math.copysign(1.0, f_mid) == math.copysign(1.0, f_lo):
+            lo, f_lo = mid, f_mid
+        else:
+            hi = mid
+    reference = 0.5 * (lo + hi)
+
+    calls = []
+
+    def counted(theta, t):
+        calls.append(theta)
+        return slope_balanced(theta, t)
+
+    monkeypatch.setattr(perturbation, "slope_balanced", counted)
+    ts = theta_star(t, tol=tol)
+    assert abs(ts - reference) <= tol / 2 + 1e-9
+    assert len(calls) <= 7
