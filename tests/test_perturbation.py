@@ -173,6 +173,8 @@ def _stub_cases(rng):
         ("linear", lambda x: scale * (x - root), root),
         ("cubic flat spot", lambda x: (x - root) ** 3 + 1e-9 * (x - root), root),
         ("steep tanh", lambda x: math.tanh(200.0 * (x - root)), root),
+        # sign-only with unequal sides: regula falsi probes far from the root,
+        # and only the minmax projection keeps the evaluation bound
         ("step", lambda x: up if x > root else (-down if x < root else 0.0), root),
     ]
 
@@ -191,15 +193,6 @@ def test_itp_root_contract_on_stubs(seed):
         # the final midpoint is rounded once: allow a few ulps beyond tol/2
         assert abs(x - root) <= tol / 2 + 4 * np.spacing(abs(root) + hi - lo), name
         assert g.calls <= math.ceil(math.log2((hi - lo) / tol)) + 1, name
-
-
-def test_itp_root_sign_only_needs_the_projection():
-    """A step with unequal sides makes regula falsi probe far from the root at
-    every step; only the minmax projection keeps the evaluation bound."""
-    f = _counted(lambda x: 1e6 if x > 0.123 else -1.0)
-    x = perturbation._itp_root(f, 0.0, 1.0, -1.0, 1e6, 1e-10)
-    assert abs(x - 0.123) <= 0.5e-10 + 1e-16
-    assert f.calls <= math.ceil(math.log2(1e10)) + 1
 
 
 def test_itp_root_returns_an_exact_zero_probe():
