@@ -63,8 +63,10 @@ def parse_list(text: str, convert=float) -> list:
     if step <= 0:
         raise _UsageError(f"range step must be positive in {text!r}")
     n = int(round((stop - start) / step))
-    values = [start + i * step for i in range(n + 1)]
-    return [v for v in values if v <= stop + 1e-12]
+    values = [v for v in (start + i * step for i in range(n + 1)) if v <= stop + 1e-12]
+    if not values:
+        raise _UsageError(f"empty range {text!r}")
+    return values
 
 
 def _fmt(value) -> str:
@@ -112,8 +114,8 @@ def cmd_recur(args) -> int:
     _check_bounds(thetas, "theta", 0.0, math.pi / 2)
     _check_bounds(ps, "p", 0.0, 1.0)
     for z in zs:
-        if not 0.0 < z <= genfun.Z_CAP:
-            raise _UsageError(f"z={z} outside (0, {genfun.Z_CAP}]")
+        if not genfun.Z_MIN <= z <= genfun.Z_CAP:
+            raise _UsageError(f"z={z} outside [{genfun.Z_MIN}, {genfun.Z_CAP}]")
     points = [
         (args.model, theta, p, z, args.nmax, args.grid)
         for theta in thetas for p in ps for z in zs
@@ -222,8 +224,8 @@ def cmd_fit(args) -> int:
 def cmd_minima(args) -> int:
     thetas = sorted(parse_list(args.theta, parse_angle))
     _check_bounds(thetas, "theta", 0.0, math.pi / 2)
-    if not 0.0 < args.z <= genfun.Z_CAP:
-        raise _UsageError(f"z={args.z} outside (0, {genfun.Z_CAP}]")
+    if not genfun.Z_MIN <= args.z <= genfun.Z_CAP:
+        raise _UsageError(f"z={args.z} outside [{genfun.Z_MIN}, {genfun.Z_CAP}]")
     lines = ["model,theta,z,nmax,p_min,r_min,lo_1e2,hi_1e2,lo_1e3,hi_1e3,monotone"]
     for theta in thetas:
         def profile(p, _theta=theta):

@@ -156,18 +156,18 @@ def return_series(
     params: WalkParams,
     t_max: int,
     coin_density: np.ndarray | None = None,
-    memory_cap: int = DEFAULT_MEMORY_CAP,
 ) -> ReturnSeries:
-    """Full survival / return / first-return series up to t_max."""
+    """Full survival / return / first-return series up to t_max; ResourceError
+    when _evolution_bytes(t_max) exceeds DEFAULT_MEMORY_CAP."""
     if t_max < 1:
         raise ParameterError("t_max must be >= 1")
     if coin_density is None:
         coin_density = np.diag([1.0, 0.0])
     half_width = t_max + 1
     nbytes = _evolution_bytes(t_max)
-    if nbytes > memory_cap:
+    if nbytes > DEFAULT_MEMORY_CAP:
         raise ResourceError(
-            f"monitored evolution would need {nbytes} bytes (cap {memory_cap})"
+            f"monitored evolution would need {nbytes} bytes (cap {DEFAULT_MEMORY_CAP})"
         )
     family = kraus_family(params)
     state = initial_state(coin_density, half_width)

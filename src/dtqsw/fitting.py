@@ -7,6 +7,10 @@ one call scores a coarse grid, then the bracket around the best exponent
 is re-gridded with 33 points per round until it is as narrow as 60
 golden-section steps would leave it. No initialization heuristics are
 needed and the fit cannot diverge.
+
+_itp_root is the one bracketed root-finder, ITP (I. F. D. Oliveira and
+R. H. C. Takahashi, ACM TOMS 47(1), 2020): find_minimum finds its band edges
+with it, and perturbation.theta_star the crossover angle.
 """
 
 from __future__ import annotations
@@ -155,15 +159,37 @@ def minimize_unimodal(func, lo=0.0, hi=1.0, iterations=15):
     return p, func(p)
 
 
-def _crossover(func, target, lo, hi, f_lo, iterations=15):
-    """Bisect for func = target, with f_lo = func(lo) and func(hi) straddling it."""
-    f_lo -= target
-    for _ in range(iterations):
+def _itp_root(f, lo: float, hi: float, f_lo: float, f_hi: float, tol: float) -> float:
+    """Root of f on [lo, hi] by ITP with k1 = 0.2 / (hi - lo), k2 = 2, n0 = 1.
+
+    f_lo = f(lo) and f_hi = f(hi) have opposite signs. Each step interpolates
+    (regula falsi), truncates toward the midpoint by k1 w^k2 and projects into
+    the minmax radius around it, so the bracket after step j is no wider than
+    tol 2^(n_max - j - 1) with n_max = ceil(log2((hi - lo) / tol)) + n0.
+    Returns the midpoint of a final bracket no wider than tol, or a probe where
+    f is exactly 0, after at most n_max evaluations of f: one more than
+    bisection in the worst case.
+    """
+    k1 = 0.2 / (hi - lo)
+    n_max = math.ceil(math.log2((hi - lo) / tol)) + 1
+    for j in range(n_max):
+        width = hi - lo
+        if width <= tol:
+            break
         mid = 0.5 * (lo + hi)
-        if (func(mid) - target) * (f_lo if f_lo != 0 else -1.0) > 0:
-            lo = mid
+        x_f = lo + width * (f_lo / (f_lo - f_hi))
+        sigma = math.copysign(1.0, mid - x_f)
+        delta = k1 * width * width
+        x_t = x_f + sigma * delta if delta <= abs(mid - x_f) else mid
+        radius = math.ldexp(tol, n_max - j - 1) - 0.5 * width
+        x = x_t if abs(x_t - mid) <= radius else mid - sigma * radius
+        y = f(x)
+        if y == 0.0:
+            return x
+        if math.copysign(1.0, y) == math.copysign(1.0, f_lo):
+            lo, f_lo = x, y
         else:
-            hi = mid
+            hi, f_hi = x, y
     return 0.5 * (lo + hi)
 
 
@@ -171,8 +197,13 @@ def find_minimum(func, iterations: int = 15) -> MinimumEstimate:
     """Locate the minimizer of p -> func(p) on [0, 1] with uncertainty bands.
 
     Unimodality is assumed; a monotone profile (detected by probing near
-    p = 0) short-circuits to p_min = 0 with empty intervals.
+    p = 0) short-circuits to p_min = 0 with empty intervals. Each band edge,
+    an _itp_root on [0, p_min] or [p_min, 1] that reuses func(0), func(1) and
+    r_min, lies within width 2^-(iterations + 1) of its crossing.
+    ParameterError for iterations < 1.
     """
+    if iterations < 1:
+        raise ParameterError(f"iterations must be >= 1, got {iterations}")
     probe = 1.0 / 32.0
     f0 = func(0.0)
     if f0 <= func(probe) and f0 <= func(2 * probe):
@@ -185,8 +216,10 @@ def find_minimum(func, iterations: int = 15) -> MinimumEstimate:
     intervals = []
     for offset in (1e-2, 1e-3):
         target = r_min + offset
-        lo = _crossover(func, target, 0.0, p_min, f0, iterations) if f0 > target else 0.0
-        hi = _crossover(func, target, 1.0, p_min, f1, iterations) if f1 > target else 1.0
+        lo = _itp_root(lambda p: func(p) - target, 0.0, p_min, f0 - target, r_min - target,
+                       math.ldexp(p_min, -iterations)) if f0 > target else 0.0
+        hi = _itp_root(lambda p: func(p) - target, p_min, 1.0, r_min - target, f1 - target,
+                       math.ldexp(1.0 - p_min, -iterations)) if f1 > target else 1.0
         intervals.append((lo, hi))
     return MinimumEstimate(
         p_min=p_min, r_min=r_min,

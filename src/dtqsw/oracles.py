@@ -3,14 +3,12 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParameterError
 
 __all__ = [
-    "PiHalfSymbols",
     "recurrence_unitary",
     "pi_half_genfun",
     "pi_half_weighted_return",
@@ -32,28 +30,6 @@ def recurrence_unitary(theta: float) -> float:
     return (2.0 / math.pi) * (theta * (1.0 - cot**2) + cot)
 
 
-@dataclass(frozen=True)
-class PiHalfSymbols:
-    """Scalar symbols of the theta = pi/2 closed form."""
-
-    a_e: float
-    b_e: float
-    c_e: float
-    u_e: float
-    v_e: float
-
-    @classmethod
-    def make(cls, z: float, p: float) -> "PiHalfSymbols":
-        a = 1.0 - (1.0 - p) * z
-        b = 1.0 + (1.0 - p) * z
-        c = p * z
-        if a * a - c * c < -1e-15 or b * b - c * c < -1e-15:
-            raise ParameterError("symbols leave the real domain")
-        u = math.sqrt(max(a * a - c * c, 0.0))
-        v = math.sqrt(max(b * b - c * c, 0.0))
-        return cls(a_e=a, b_e=b, c_e=c, u_e=u, v_e=v)
-
-
 def pi_half_genfun(z: float, p: float) -> tuple[np.ndarray, np.ndarray]:
     """Return-probability and first-return generating matrices at theta=pi/2.
 
@@ -65,13 +41,14 @@ def pi_half_genfun(z: float, p: float) -> tuple[np.ndarray, np.ndarray]:
         raise ParameterError("z must lie in [0, 1)")
     if not 0.0 <= p <= 1.0:
         raise ParameterError("p must lie in [0, 1]")
-    sym = PiHalfSymbols.make(z, p)
-    a, b, c, u, v = sym.a_e, sym.b_e, sym.c_e, sym.u_e, sym.v_e
+    a = 1.0 - (1.0 - p) * z
+    b = 1.0 + (1.0 - p) * z
+    c = p * z
+    # a^2 - c^2 = (1 - z)(1 - z + 2pz) >= 0 and b^2 - c^2 = (1 + z)(1 + z - 2pz) >= 0
+    u = math.sqrt(max(a * a - c * c, 0.0))
+    v = math.sqrt(max(b * b - c * c, 0.0))
     diag = 0.5 * (1.0 / u + 1.0 / v)
-    if c == 0.0:
-        off = 0.0
-    else:
-        off = 0.5 * (a / (u * c) - b / (v * c))
+    off = 0.0 if c == 0.0 else 0.5 * (a / (u * c) - b / (v * c))
     r_mat = np.array([[diag, off], [off, diag]])
     inv_diag = 0.5 * (a * v + b * u)
     inv_off = 0.5 * (c * u - c * v)
@@ -80,11 +57,14 @@ def pi_half_genfun(z: float, p: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def pi_half_weighted_return(z: float, p: float) -> float:
-    """sum_m q_m z^(m-1) at theta = pi/2 from an R-coin start.
+    """sum_m q_m z^(m-1) at theta = pi/2 from an R-coin start; z in (0, 1).
 
     Column sums of Q(z) give sum_m q_m z^m; dividing by z matches the
-    genfun normalization.
+    genfun normalization. Q = I - R^-1 is accurate only in absolute terms at
+    small z: relative error 2.3e-8 at z = 1e-4 and 1.2e-4 at z = 1e-6.
     """
+    if not z > 0.0:
+        raise ParameterError(f"z must lie in (0, 1), got {z}")
     _, q_mat = pi_half_genfun(z, p)
     return float((q_mat[0, 0] + q_mat[1, 0]) / z)
 

@@ -7,12 +7,8 @@ classical Kraus operator was inserted at step k. Every operator comes
 from model.kraus_family and is applied by _apply, the pure-state twin of
 directsim._apply_cptp; slope_series steps all branch states as one stack.
 
-theta_star, the crossover angle, is the root of B_t(theta) found by ITP
-(I. F. D. Oliveira and R. H. C. Takahashi, "An enhancement of the bisection
-method average performance preserving minmax optimality", ACM TOMS 47(1),
-2020) with k1 = 0.2 / (bracket width), k2 = 2 and n0 = 1. It returns the
-midpoint of a final bracket no wider than tol, so it lies within tol/2 of
-the root, and makes at most one evaluation more than bisection would.
+theta_star, the crossover angle, is the root of B_t(theta) found by
+fitting._itp_root, the ITP root-finder find_minimum uses for its band edges.
 """
 
 from __future__ import annotations
@@ -22,8 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .directsim import DEFAULT_MEMORY_CAP, _span
+from . import directsim
+from .directsim import _span
 from .errors import BracketError, ParameterError, ResourceError
+from .fitting import _itp_root
 from .model import Model, TranslationKraus, WalkParams, kraus_family
 
 __all__ = [
@@ -114,14 +112,15 @@ def slope_series(theta: float, t_max: int, model: Model = Model.BALANCED) -> Slo
     to the whole stack, _CHUNK states per call, then appends P E_j v_{t-1}
     for each classical E_j. Coin, Kraus blocks and start are real, so the
     stack is float64: half the memory of a complex one. ResourceError when
-    the stack and the trajectory would exceed DEFAULT_MEMORY_CAP.
+    the stack and the trajectory would exceed directsim.DEFAULT_MEMORY_CAP.
     """
     # the classical Kraus operators at unit weight (p = 1, coined operator dropped)
     params = WalkParams(theta, 1.0, model)
     branches = kraus_family(params).kraus[1:]
     nbytes = 16 * (len(branches) * t_max + t_max + 1) * (2 * t_max + 3)
-    if nbytes > DEFAULT_MEMORY_CAP:
-        raise ResourceError(f"slope series would need {nbytes} bytes (cap {DEFAULT_MEMORY_CAP})")
+    cap = directsim.DEFAULT_MEMORY_CAP
+    if nbytes > cap:
+        raise ResourceError(f"slope series would need {nbytes} bytes (cap {cap})")
     traj = monitored_trajectory(theta, t_max)
     origin = traj.origin
     survival = traj.survival()
@@ -149,40 +148,6 @@ def slope_balanced(theta: float, t: int) -> float:
 def slope_correlated(theta: float, t: int) -> float:
     """R_t'(p=0) for the correlated-RW interpolation."""
     return float(slope_series(theta, t, Model.CORRELATED).values[t - 1])
-
-
-def _itp_root(f, lo: float, hi: float, f_lo: float, f_hi: float, tol: float) -> float:
-    """Root of f on [lo, hi] by ITP with k1 = 0.2 / (hi - lo), k2 = 2, n0 = 1.
-
-    f_lo = f(lo) and f_hi = f(hi) have opposite signs. Each step interpolates
-    (regula falsi), truncates toward the midpoint by k1 w^k2 and projects into
-    the minmax radius around it, so the bracket after step j is no wider than
-    tol 2^(n_max - j - 1) with n_max = ceil(log2((hi - lo) / tol)) + n0.
-    Returns the midpoint of a final bracket no wider than tol, or a probe where
-    f is exactly 0, after at most n_max evaluations of f: one more than
-    bisection in the worst case.
-    """
-    k1 = 0.2 / (hi - lo)
-    n_max = math.ceil(math.log2((hi - lo) / tol)) + 1
-    for j in range(n_max):
-        width = hi - lo
-        if width <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        x_f = lo + width * (f_lo / (f_lo - f_hi))
-        sigma = math.copysign(1.0, mid - x_f)
-        delta = k1 * width * width
-        x_t = x_f + sigma * delta if delta <= abs(mid - x_f) else mid
-        radius = math.ldexp(tol, n_max - j - 1) - 0.5 * width
-        x = x_t if abs(x_t - mid) <= radius else mid - sigma * radius
-        y = f(x)
-        if y == 0.0:
-            return x
-        if math.copysign(1.0, y) == math.copysign(1.0, f_lo):
-            lo, f_lo = x, y
-        else:
-            hi, f_hi = x, y
-    return 0.5 * (lo + hi)
 
 
 def theta_star(

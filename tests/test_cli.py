@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dtqsw import cli, perturbation
+from dtqsw import cli, directsim
 from dtqsw.cli import CSV_HEADER, main, parse_angle, parse_list
 
 
@@ -52,6 +52,28 @@ def test_recur_deterministic_and_jobs_agree(capsys):
     assert serial == serial2  # byte-identical reruns
     _, parallel, _ = run_cli(capsys, *args, "--jobs", "2")
     assert parallel == serial  # worker count changes nothing
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # below Z_MIN the renewal cancels: z = 1e-8 used to print 0 for 8.7e-10
+        ["recur", "--theta", "0.3", "--p", "0", "--z", "1e-8"],
+        ["minima", "--theta", "0.39pi", "--z", "1e-3"],
+        # a start:stop:step range with start > stop has no value
+        ["recur", "--theta", "0.5:0.1:0.1", "--p", "0"],
+        ["slope", "--theta", "0.3", "--t", "10:5:1"],
+        ["minima", "--theta", "0.39pi", "--iterations", "0"],
+        ["minima", "--theta", "0.39pi", "--iterations", "-2"],
+    ],
+    ids=["recur-small-z", "minima-small-z", "empty-theta-range", "empty-t-range",
+         "iterations-0", "iterations-negative"],
+)
+def test_inputs_with_no_valid_answer_exit_1(capsys, argv):
+    """Each is refused before any point is computed."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == "" and err.startswith("error:")
+    assert "Traceback" not in err
 
 
 def test_recur_usage_errors(capsys):
@@ -112,7 +134,7 @@ def test_recur_error_with_comma_stays_in_its_column(capsys, monkeypatch, tmp_pat
 
 def test_slope_over_memory_cap_is_typed_error(capsys, monkeypatch):
     """A slope stack over the memory cap exits 1 with "error: ...", not a traceback."""
-    monkeypatch.setattr(perturbation, "DEFAULT_MEMORY_CAP", 1000)
+    monkeypatch.setattr(directsim, "DEFAULT_MEMORY_CAP", 1000)
     code, out, err = run_cli(capsys, "slope", "--theta", "0.25pi", "--t", "10")
     assert code == 1 and out == ""
     assert err.startswith("error: slope series would need") and "Traceback" not in err

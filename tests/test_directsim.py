@@ -15,6 +15,7 @@ from dtqsw import (
     step_monitored,
     weighted_return,
 )
+from dtqsw import directsim
 from dtqsw.directsim import _apply_cptp, _evolution_bytes
 from dtqsw.errors import (
     ConsistencyError,
@@ -186,13 +187,14 @@ def test_initial_state_validation():
         initial_state(COIN_R, 0)
 
 
-def test_resource_cap():
+def test_resource_cap(monkeypatch):
+    monkeypatch.setattr(directsim, "DEFAULT_MEMORY_CAP", 1 << 20)
     with pytest.raises(ResourceError):
-        return_series(WalkParams(math.pi / 4, 0.5), 100, memory_cap=1 << 20)
+        return_series(WalkParams(math.pi / 4, 0.5), 100)
 
 
 @pytest.mark.parametrize("model", [Model.BALANCED, Model.CORRELATED])
-def test_resource_guard_covers_traced_peak(model):
+def test_resource_guard_covers_traced_peak(monkeypatch, model):
     """The guarded figure bounds every array a return_series call allocates."""
     params, t_max = WalkParams(math.pi / 4, 0.5, model), 100
     tracemalloc.start()
@@ -203,8 +205,9 @@ def test_resource_guard_covers_traced_peak(model):
         tracemalloc.stop()
     state_bytes = (2 * (2 * t_max + 3)) ** 2 * 16
     assert 2 * state_bytes < peak <= _evolution_bytes(t_max)
+    monkeypatch.setattr(directsim, "DEFAULT_MEMORY_CAP", _evolution_bytes(t_max) - 1)
     with pytest.raises(ResourceError):
-        return_series(params, t_max, memory_cap=_evolution_bytes(t_max) - 1)
+        return_series(params, t_max)
 
 
 def _dense(op, n_pos):

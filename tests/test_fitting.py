@@ -144,10 +144,10 @@ def test_find_minimum_interior():
 
 
 def test_find_minimum_evaluates_each_endpoint_once():
-    """func(0) and func(1) are each evaluated once and reused by every crossover
-    bisection: 2 probes (func(1/32) < func(0) ends the monotonicity probe), 2 per
-    halving and the final value of the minimizer, then 15 bisection steps for each
-    of the four interval ends."""
+    """func(0) and func(1) are each evaluated once and reused by every band-edge
+    root: 2 probes (func(1/32) < func(0) ends the monotonicity probe), 2 per
+    halving and the final value of the minimizer, func(1), then 5 + 7 + 7 + 10 ITP
+    steps for the four interval ends (bisection took 15 each, 94 in all)."""
     calls = collections.Counter()
 
     def profile(p):
@@ -156,8 +156,49 @@ def test_find_minimum_evaluates_each_endpoint_once():
 
     est = find_minimum(profile)
     assert calls[0.0] == 1 and calls[1.0] == 1
-    assert sum(calls.values()) == 2 + (2 * 15 + 1) + 1 + 4 * 15
+    assert sum(calls.values()) == 2 + (2 * 15 + 1) + 1 + 29
     assert est == find_minimum(lambda p: (p - 0.4) ** 2 + 0.1)
+
+
+# (profile, its minimum at p = 0.4 or 0.3, and its slope factor left and right of it)
+BAND_STUBS = {
+    "symmetric": (lambda p: (p - 0.4) ** 2 + 0.1, 0.4, 1.0, 1.0),
+    "asymmetric": (lambda p: 0.1 + (p - 0.3) ** 2 * (4.0 if p < 0.3 else 0.25), 0.3, 4.0, 0.25),
+}
+
+
+@pytest.mark.parametrize("iterations", [8, 15, 30])
+@pytest.mark.parametrize("name", BAND_STUBS)
+def test_find_minimum_band_edges_meet_their_contract(name, iterations):
+    """Each band edge lies within width 2^-(iterations + 1) of the crossing of
+    r_min + offset, width being p_min on the left and 1 - p_min on the right;
+    func(0) and func(1) are evaluated once, and each edge takes at most
+    iterations + 1 evaluations."""
+    func, centre, left, right = BAND_STUBS[name]
+    calls = collections.Counter()
+
+    def profile(p):
+        calls[p] += 1
+        return func(p)
+
+    est = find_minimum(profile, iterations)
+    assert calls[0.0] == 1 and calls[1.0] == 1
+    assert sum(calls.values()) <= 2 + (2 * iterations + 1) + 1 + 4 * (iterations + 1)
+    for offset, (lo, hi) in ((1e-2, est.interval_1e2), (1e-3, est.interval_1e3)):
+        rise = est.r_min + offset - 0.1
+        # rounding of func near the crossing moves its root by far less than 1e-13
+        assert abs(lo - (centre - math.sqrt(rise / left))) <= (
+            math.ldexp(est.p_min, -iterations - 1) + 1e-13)
+        assert abs(hi - (centre + math.sqrt(rise / right))) <= (
+            math.ldexp(1.0 - est.p_min, -iterations - 1) + 1e-13)
+
+
+@pytest.mark.parametrize("iterations", [0, -2])
+def test_find_minimum_refuses_iterations_below_one(iterations):
+    calls = []
+    with pytest.raises(ParameterError):
+        find_minimum(lambda p: calls.append(p) or (p - 0.4) ** 2, iterations)
+    assert not calls
 
 
 def test_find_minimum_monotone_profile():

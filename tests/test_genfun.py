@@ -33,6 +33,7 @@ from dtqsw._kernels import determinant_grid
 from dtqsw.genfun import (
     DEFAULT_Z_SAMPLES,
     Z_CAP,
+    Z_MIN,
     StieltjesMatrix,
     _eta_parts,
     _laurent_blocks,
@@ -346,8 +347,29 @@ def test_recurrence_estimate_validation():
     params = WalkParams(math.pi / 4, 0.3)
     with pytest.raises(OutOfValidatedRangeError):
         recurrence_estimate(params, 0.999999)
+    with pytest.raises(OutOfValidatedRangeError):
+        recurrence_estimate(params, 1e-3)  # below Z_MIN
     with pytest.raises(ParameterError):
         recurrence_estimate(params, 0.0)
+
+
+@pytest.mark.parametrize(
+    "theta, p, model",
+    [
+        (math.pi / 4, 0.0, Model.BALANCED),
+        (math.pi / 4, 0.35, Model.BALANCED),
+        (math.pi / 2, 0.5, Model.BALANCED),
+        (0.3, 1.0, Model.CORRELATED),
+        (2 * math.pi / 5, 0.5, Model.CORRELATED),
+    ],
+)
+def test_recurrence_estimate_at_z_min_matches_direct_simulation(theta, p, model):
+    """At Z_MIN the renewal's (1 - w) / z still keeps 1e-10 relative accuracy
+    (40 steps leave a tail below 1e-80); below it the cancellation grows to
+    1.7e-7 at z = 1e-4 and an O(1) error at 1e-8, so those z are refused."""
+    params = WalkParams(theta, p, model)
+    ref = weighted_return(return_series(params, 40), Z_MIN)
+    assert abs(recurrence_estimate(params, Z_MIN) - ref) <= 1e-10 * abs(ref)
 
 
 def test_z_sweep_records_failures_and_continues():

@@ -19,7 +19,6 @@ import pytest
 
 from dtqsw.errors import ParameterError
 from dtqsw.oracles import (
-    PiHalfSymbols,
     classical_first_return,
     pi_half_genfun,
     pi_half_weighted_return,
@@ -91,15 +90,6 @@ def test_pi_half_genfun_matches_complex_continuation():
 def test_q_matrix_is_identity_minus_inverse(z, p):
     r_mat, q_mat = pi_half_genfun(z, p)
     assert np.max(np.abs(q_mat - (np.eye(2) - np.linalg.inv(r_mat)))) < 1e-10
-
-
-def test_symbols_definition():
-    sym = PiHalfSymbols.make(0.5, 0.4)
-    assert sym.a_e == pytest.approx(1 - 0.6 * 0.5)
-    assert sym.b_e == pytest.approx(1 + 0.6 * 0.5)
-    assert sym.c_e == pytest.approx(0.2)
-    assert sym.u_e == pytest.approx(math.sqrt(sym.a_e**2 - sym.c_e**2))
-    assert sym.v_e == pytest.approx(math.sqrt(sym.b_e**2 - sym.c_e**2))
 
 
 @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
@@ -189,3 +179,6 @@ def test_pi_half_parameter_validation():
         pi_half_genfun(1.0, 0.5)
     with pytest.raises(ParameterError):
         pi_half_genfun(0.5, 1.2)
+    # Q(0) = 0, so sum_m q_m z^(m-1) would be 0/0 at z = 0
+    with pytest.raises(ParameterError):
+        pi_half_weighted_return(0.0, 0.5)

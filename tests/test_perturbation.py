@@ -17,7 +17,7 @@ from dtqsw import (
     step_monitored,
     theta_star,
 )
-from dtqsw import perturbation
+from dtqsw import directsim, perturbation
 from dtqsw.errors import BracketError, ParameterError, ResourceError
 
 
@@ -148,9 +148,9 @@ def test_slope_series_memory_cap(monkeypatch):
     bytes for B branch operators; one byte over the cap is a ResourceError."""
     t = 10
     nbytes = 16 * (2 * t + t + 1) * (2 * t + 3)  # balanced: two branch operators
-    monkeypatch.setattr(perturbation, "DEFAULT_MEMORY_CAP", nbytes)
+    monkeypatch.setattr(directsim, "DEFAULT_MEMORY_CAP", nbytes)
     assert slope_series(math.pi / 4, t).values.shape == (t,)
-    monkeypatch.setattr(perturbation, "DEFAULT_MEMORY_CAP", nbytes - 1)
+    monkeypatch.setattr(directsim, "DEFAULT_MEMORY_CAP", nbytes - 1)
     with pytest.raises(ResourceError, match="slope series"):
         slope_series(math.pi / 4, t)
 
