@@ -116,6 +116,7 @@ def cmd_recur(args) -> int:
     for z in zs:
         if not genfun.Z_MIN <= z <= genfun.Z_CAP:
             raise _UsageError(f"z={z} outside [{genfun.Z_MIN}, {genfun.Z_CAP}]")
+    genfun._tables(args.nmax, args.grid)  # ParameterError (exit 1) before any point
     points = [
         (args.model, theta, p, z, args.nmax, args.grid)
         for theta in thetas for p in ps for z in zs
@@ -195,20 +196,20 @@ def cmd_slope(args) -> int:
 def cmd_fit(args) -> int:
     try:
         with open(args.input, encoding="utf-8") as fh:
-            rows = [line.strip().split(",") for line in fh if line.strip()]
+            rows = [(n, line.strip().split(",")) for n, line in enumerate(fh, 1) if line.strip()]
     except OSError as exc:
         raise _UsageError(f"cannot read {args.input}: {exc}") from exc
-    if not rows or rows[0] != CSV_HEADER.split(","):
+    if not rows or rows[0][1] != CSV_HEADER.split(","):
         raise _UsageError(f"{args.input} is not a recur CSV")
     groups: dict = {}
-    for row in rows[1:]:
-        model, theta, p, z, nmax, grid, kind = row[:7]
-        value = row[8]
-        if kind != "rtilde" or value == "nan":
-            continue
-        groups.setdefault((model, float(theta), float(p)), []).append(
-            (float(z), float(value))
-        )
+    for line_no, row in rows[1:]:
+        try:  # a row of the wrong length fails to unpack, a non-number to convert
+            model, theta, p, z, _, _, kind, _, value, _ = row
+            if kind == "rtilde" and value != "nan":
+                groups.setdefault((model, float(theta), float(p)), []).append(
+                    (float(z), float(value)))
+        except ValueError as exc:
+            raise _UsageError(f"{args.input}: {exc} at line {line_no}") from exc
     form = FitForm(args.form)
     lines = ["model,theta,p,form,a,a_err,b,b_err,c,c_err,residual_norm"]
     for (model, theta, p), pts in sorted(groups.items()):
@@ -226,6 +227,7 @@ def cmd_minima(args) -> int:
     _check_bounds(thetas, "theta", 0.0, math.pi / 2)
     if not genfun.Z_MIN <= args.z <= genfun.Z_CAP:
         raise _UsageError(f"z={args.z} outside [{genfun.Z_MIN}, {genfun.Z_CAP}]")
+    genfun._tables(args.nmax, args.grid)  # ParameterError (exit 1) before any point
     lines = ["model,theta,z,nmax,p_min,r_min,lo_1e2,hi_1e2,lo_1e3,hi_1e3,monotone"]
     for theta in thetas:
         def profile(p, _theta=theta):

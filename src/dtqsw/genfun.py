@@ -266,7 +266,10 @@ def _tables(n_max, grid_n):
     row a = n_max + 1 is never read), the index of s(z) in _fold's output, and
     the gathers of the ket rows of s(z) and of J s(z) J, J the ket-bra swap,
     with ket the two fixed points of J (e_(R,R,0,0) first, then e_(L,L,0,0))
-    followed by one basis index of each swapped pair."""
+    followed by one basis index of each swapped pair. ParameterError for an
+    n_max that is odd or < 2 and for a grid_n _subst_grid refuses."""
+    if n_max < 2 or n_max % 2:
+        raise ParameterError("n_max must be even and >= 2")
     x, w = _subst_grid(grid_n)
     x, w = x[: grid_n // 2], w[: grid_n // 2]
     rows = np.arange(-n_max, n_max + 1, 2)[None, :, None] + np.arange(2)[:, None, None]
@@ -291,8 +294,6 @@ def _fold(family, z, n_max, grid_n):
     """The xi fold, flat and real: block (q, j, k) is 2 Re sum_xi w exp(i a xi)
     H_n(xi) over the first-half nodes, a = 2j - n_max + q and n = 2k + q."""
     z = _check_z(z)
-    if n_max < 2 or n_max % 2:
-        raise ParameterError("n_max must be even and >= 2")
     blocks = _laurent_blocks(family)  # refuses an unsupported family before any work
     x, phases = _tables(n_max, grid_n)[:2]
     h0, h1, b = _eta_parts(blocks, z, x)

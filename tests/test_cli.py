@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dtqsw import cli, directsim
+from dtqsw import cli, directsim, genfun
 from dtqsw.cli import CSV_HEADER, main, parse_angle, parse_list
 
 
@@ -62,8 +62,14 @@ def test_recur_deterministic_and_jobs_agree(capsys):
         ["minima", "--theta", "0.39pi", "--z", "1e-3"],
         ["minima", "--theta", "0.39pi", "--iterations", "0"],
         ["minima", "--theta", "0.39pi", "--iterations", "-2"],
+        # a truncation that cannot run: n_max odd or grid not a multiple of 4
+        ["recur", "--theta", "0.3", "--p", "0", "--z", "0.5", "--nmax", "3"],
+        ["recur", "--theta", "0.3", "--p", "0", "--z", "0.5", "--grid", "66"],
+        ["minima", "--theta", "0.39pi", "--nmax", "3"],
+        ["minima", "--theta", "0.39pi", "--grid", "66"],
     ],
-    ids=["recur-small-z", "minima-small-z", "iterations-0", "iterations-negative"],
+    ids=["recur-small-z", "minima-small-z", "iterations-0", "iterations-negative",
+         "recur-nmax-odd", "recur-grid-66", "minima-nmax-odd", "minima-grid-66"],
 )
 def test_inputs_with_no_valid_answer_exit_1(capsys, argv):
     """Each is refused before any point is computed."""
@@ -93,15 +99,27 @@ def test_recur_jobs_below_one_is_usage_error(capsys, monkeypatch, jobs):
     assert code == 1 and "jobs" in err and out == ""
 
 
-def test_recur_partial_failure_exit_2(capsys):
-    # grid not a multiple of 4 fails inside the point evaluation
+def test_recur_partial_failure_exit_2(capsys, monkeypatch):
+    """One point fails and one does not: exit 2, a good row and a nan row."""
+    inv, estimate = np.linalg.inv, genfun.recurrence_estimate
+    failing = []
+
+    def estimate_failing_at_0_9(params, z, *args):
+        failing[:] = [z == 0.9]
+        return estimate(params, z, *args)
+
+    # at z = 0.9, the renewal inverse (a 2-D call) scaled past the condition limit
+    monkeypatch.setattr(genfun, "recurrence_estimate", estimate_failing_at_0_9)
+    monkeypatch.setattr(np.linalg, "inv",
+                        lambda m: inv(m) * (1e15 if failing[0] and np.ndim(m) == 2 else 1))
     code, out, _ = run_cli(
         capsys, "recur", "--theta", "0.25pi", "--p", "0.5",
-        "--z", "0.5", "--nmax", "4", "--grid", "66",
+        "--z", "0.5,0.9", "--nmax", "4", "--grid", "64",
     )
     assert code == 2
-    row = out.strip().splitlines()[1].split(",")
-    assert row[8] == "nan" and "ParameterError" in row[9]
+    good, bad = (line.split(",") for line in out.strip().splitlines()[1:])
+    assert 0.0 < float(good[8]) <= 1.0 and good[9] == ""
+    assert bad[8] == "nan" and bad[9].startswith("ConditioningError")
 
 
 def test_recur_error_with_comma_stays_in_its_column(capsys, monkeypatch, tmp_path):
@@ -191,6 +209,28 @@ def test_fit_rejects_non_recur_csv(capsys, tmp_path):
     bad.write_text("nope\n")
     code, _, err = run_cli(capsys, "fit", "--input", str(bad))
     assert code == 1 and "not a recur CSV" in err
+
+
+@pytest.mark.parametrize(
+    "row, reason",
+    [
+        ("balanced,0.785398163397", "expected 10, got 2"),
+        ("balanced,0.785398163397,0.5,0.99,4,64,rtilde,,0.9", "expected 10, got 9"),
+        ("balanced,0.785398163397,0.5,0.99,4,64,rtilde,,0.9,,x", "too many values"),
+        ("balanced,quarter,0.5,0.99,4,64,rtilde,,0.9,", "could not convert"),
+        ("balanced,0.785398163397,0.5,0.99,4,64,rtilde,,high,", "could not convert"),
+    ],
+    ids=["short", "one-short", "long", "theta", "value"],
+)
+def test_fit_malformed_row_is_usage_error(capsys, tmp_path, row, reason):
+    """A header-valid recur CSV with a bad row names the row's line, with no traceback."""
+    bad = tmp_path / "bad.csv"
+    good = "balanced,0.785398163397,0.5,0.9,4,64,rtilde,,0.8,"
+    bad.write_text(f"{CSV_HEADER}\n{good}\n\n{row}\n")
+    code, out, err = run_cli(capsys, "fit", "--input", str(bad))
+    assert code == 1 and out == "" and "Traceback" not in err
+    assert err.startswith("error: ") and reason in err
+    assert err.splitlines()[0].endswith("at line 4")
 
 
 def test_minima_csv(capsys):
