@@ -1,19 +1,18 @@
-"""Direct iteration of the monitored CP map on the light cone.
+"""Direct iteration of the monitored CP map on a truncated lattice.
 
-After t steps the density matrix is stored as exactly its light cone: an
-(n, n, 4) array with n = 2t + 1, position (x, y) at index (x + t, y + t) and
-the coin pair 2c + c' innermost, the basis of model.shift_blocks and of
-genfun's s(z). Each step grows the array by one site on every side, so no
-mass can leave it.
+The density matrix is stored as a (2, P, 2, P) array over
+(ket coin, ket position, bra coin, bra position) with P = 2L + 1 and the
+origin at index L. The truncation half-width is chosen as L = t_max + 1,
+so the light cone can never touch the boundary; any contact is a hard
+error, never silent mass loss.
 
-Step t applies rho'(x, y) = sum M_{ss'} rho(x - s, y - s') with the 4x4
-blocks of model.shift_blocks. The state is float64 when the coin density and
-the blocks are real, complex otherwise.
+Step t applies rho'(x, y) = sum M_{ss'} rho(x - s, y - s'), with the 4x4
+blocks of model.shift_blocks, on the light cone |x|, |y| <= t only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,13 +38,17 @@ DEFAULT_MEMORY_CAP = 4 << 30  # bytes
 
 @dataclass
 class MonitoredDensityState:
-    half_width: int  # the step budget: step_monitored refuses to pass it
-    rho: np.ndarray  # (2 step_count + 1, 2 step_count + 1, 4), coin pair innermost
+    half_width: int
+    rho: np.ndarray  # (2, P, 2, P) complex
     step_count: int = 0
     absorbed_mass: float = 0.0
 
+    @property
+    def origin(self) -> int:
+        return self.half_width
+
     def survival(self) -> float:
-        return float(np.trace(self.rho[..., ::3]).sum().real)
+        return float(np.trace(self.rho.reshape(2 * (2 * self.half_width + 1), -1)).real)
 
 
 @dataclass
@@ -64,7 +67,7 @@ class ReturnSeries:
 
 
 def _check_density(coin_density: np.ndarray) -> np.ndarray:
-    coin_density = np.array(coin_density, complex if np.iscomplexobj(coin_density) else float)
+    coin_density = np.asarray(coin_density, dtype=complex)
     if coin_density.shape != (2, 2):
         raise ParameterError("coin density must be 2x2")
     if not np.allclose(coin_density, coin_density.conj().T, atol=1e-12):
@@ -85,21 +88,27 @@ def initial_state(coin_density: np.ndarray, half_width: int) -> MonitoredDensity
     coin_density = _check_density(coin_density)
     if half_width < 1:
         raise ParameterError("half_width must be >= 1")
-    return MonitoredDensityState(half_width=half_width, rho=coin_density.reshape(1, 1, 4))
+    p_dim = 2 * half_width + 1
+    rho = np.zeros((2, p_dim, 2, p_dim), dtype=complex)
+    rho[:, half_width, :, half_width] = coin_density
+    return MonitoredDensityState(half_width=half_width, rho=rho)
 
 
-def _apply_cptp(rho: np.ndarray, family: TranslationKrausFamily) -> np.ndarray:
-    """sum_j E_j rho E_j^dag of an (n, n, 4) array, as the (n + 2, n + 2, 4) array
-    one site wider on every side, so nothing reaches an edge. One output coin
-    pair at a time: a quarter-size temporary."""
-    n = rho.shape[0]
-    blocks = shift_blocks(family)
-    out = np.zeros((n + 2, n + 2, 4), np.result_type(rho, *blocks.values()))
-    flat = rho.reshape(-1, 4)
-    for (s, s2), m in blocks.items():
-        dst = out[1 + s : n + 1 + s, 1 + s2 : n + 1 + s2]  # a view: += adds in place
-        for pair in range(4):
-            dst[..., pair] += (flat @ m[pair]).reshape(n, n)
+def _span(shift: int, n: int) -> slice:
+    """Sites of an n-site axis that a shift moves to (the source is _span(-shift))."""
+    return slice(max(shift, 0), n + min(shift, 0))
+
+
+def _apply_cptp(rho: np.ndarray, family: TranslationKrausFamily, out=None):
+    """sum_j E_j rho E_j^dag on a (2, n, 2, n) array, added into out (default zeros);
+    nothing wraps around. One output coin pair at a time: a quarter-size temporary."""
+    out = np.zeros_like(rho) if out is None else out
+    n = rho.shape[1]
+    for (s, s2), m in shift_blocks(family).items():
+        src = rho[:, _span(-s, n), :, _span(-s2, n)]
+        dst = out[:, _span(s, n), :, _span(s2, n)]  # a view: += adds in place
+        for a, b in np.ndindex(2, 2):
+            dst[a, :, b] += np.einsum("cd,cxdy->xy", m.reshape(2, 2, 2, 2)[a, b], src)
     return out
 
 
@@ -108,32 +117,39 @@ def step_monitored(
 ) -> MonitoredDensityState:
     """One CPTP step followed by absorption projection at the origin.
 
-    ParameterError unless state.rho is the (2 step_count + 1, 2 step_count + 1, 4)
-    light cone; TruncationError once step_count would pass half_width.
+    The state must lie in its light cone |x|, |y| <= step_count, as every
+    state grown from initial_state does.
     """
     t = state.step_count + 1
-    n = 2 * state.step_count + 1
-    if state.rho.shape != (n, n, 4):
-        raise ParameterError(f"rho at step {state.step_count} must be the cone {(n, n, 4)}")
     if t > state.half_width:
-        raise TruncationError(f"step {t} would pass half_width={state.half_width}")
-    rho = _apply_cptp(state.rho, family)
-    absorbed = float((rho[t, t, 0] + rho[t, t, 3]).real)
-    rho[t] = 0.0
-    rho[:, t] = 0.0
-    return MonitoredDensityState(state.half_width, rho, t, state.absorbed_mass + absorbed)
+        raise TruncationError(
+            f"step {t} would reach the truncation boundary "
+            f"(half_width={state.half_width})"
+        )
+    o = state.origin
+    cone = slice(o - t, o + t + 1)
+    rho = np.zeros_like(state.rho)
+    _apply_cptp(state.rho[:, cone, :, cone], family, rho[:, cone, :, cone])
+    absorbed = float((rho[0, o, 0, o] + rho[1, o, 1, o]).real)
+    rho[:, o, :, :] = 0.0
+    rho[:, :, :, o] = 0.0
+    return MonitoredDensityState(
+        half_width=state.half_width,
+        rho=rho,
+        step_count=t,
+        absorbed_mass=state.absorbed_mass + absorbed,
+    )
 
 
 def _evolution_bytes(t_max: int) -> int:
     """Peak bytes of return_series(t_max), the figure its ResourceError guards.
 
-    The last step holds the old state, the new state and one coin pair of a
-    block product (a quarter state) at once, bounded here by the final cone
-    n = 2 t_max + 1 of a complex state, plus numpy's buffers for the strided
+    A step holds the old state, the new state and one coin pair of a block
+    contraction (a quarter state) at once, plus numpy's buffers for the strided
     adds, which stay under 1 MiB.
     """
-    n = 2 * t_max + 1
-    return 9 * n * n * 16 + (1 << 20)
+    dim = 2 * (2 * (t_max + 1) + 1)
+    return 9 * dim * dim * 16 // 4 + (1 << 20)
 
 
 def return_series(
@@ -147,13 +163,14 @@ def return_series(
         raise ParameterError("t_max must be >= 1")
     if coin_density is None:
         coin_density = np.diag([1.0, 0.0])
+    half_width = t_max + 1
     nbytes = _evolution_bytes(t_max)
     if nbytes > DEFAULT_MEMORY_CAP:
         raise ResourceError(
             f"monitored evolution would need {nbytes} bytes (cap {DEFAULT_MEMORY_CAP})"
         )
     family = kraus_family(params)
-    state = initial_state(coin_density, t_max)
+    state = initial_state(coin_density, half_width)
     survival = np.empty(t_max + 1)
     survival[0] = 1.0
     for t in range(1, t_max + 1):

@@ -4,9 +4,8 @@ Works entirely with pure states: the unperturbed dynamics is the
 monitored unitary walk, and each first-order term compares the surviving
 norm of the unperturbed trajectory with branch trajectories where one
 classical Kraus operator was inserted at step k. Every operator comes
-from model.kraus_family and is applied by _apply on a lattice of half-width
-t_max + 1 (directsim.step_monitored instead grows the density matrix with
-its light cone); slope_series steps all branch states as one stack.
+from model.kraus_family and is applied by _apply, the pure-state twin of
+directsim._apply_cptp; slope_series steps all branch states as one stack.
 
 theta_star, the crossover angle, is the root of B_t(theta) found by
 fitting._itp_root, the ITP root-finder find_minimum uses for its band edges.
@@ -20,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import directsim
+from .directsim import _span
 from .errors import BracketError, ParameterError, ResourceError
 from .fitting import _itp_root
 from .model import Model, TranslationKraus, WalkParams, kraus_family
@@ -42,11 +42,6 @@ NONUNIFORM_THETA_WARNING = 0.45 * math.pi
 # Branch states per _apply call in slope_series. Whole-stack temporaries grew
 # the heap to several times the stack, and the heap kept that after the call.
 _CHUNK = 64
-
-
-def _span(shift: int, n: int) -> slice:
-    """Sites of an n-site axis that a shift moves to (the source is _span(-shift))."""
-    return slice(max(shift, 0), n + min(shift, 0))
 
 
 def _apply(op: TranslationKraus, psi: np.ndarray) -> np.ndarray:

@@ -214,8 +214,8 @@ def test_acceptance_11_property_suites():
     herm_ok = True
     for _ in range(8):
         state = step_monitored(state, family)
-        n = state.rho.shape[0]
-        flat = state.rho.reshape(n, n, 2, 2).transpose(2, 0, 3, 1).reshape(2 * n, 2 * n)
+        dim = 2 * (2 * state.half_width + 1)
+        flat = state.rho.reshape(dim, dim)
         herm_ok &= np.max(np.abs(flat - flat.conj().T)) < 1e-12
         herm_ok &= np.min(np.linalg.eigvalsh(flat)) > -1e-10
         herm_ok &= state.survival() + state.absorbed_mass < 1 + 1e-12

@@ -6,7 +6,6 @@ import pytest
 
 from dtqsw import (
     Model,
-    MonitoredDensityState,
     ReturnSeries,
     WalkParams,
     initial_state,
@@ -85,18 +84,14 @@ def test_gauge_invariance_right_rotation_with_rotated_input():
     assert np.max(np.abs(np.array(survival) - base)) < 1e-10
 
 
-def _as_matrix(rho):
-    """The (2n x 2n) density matrix, coin first, of an (n, n, 4) light-cone array."""
-    n = rho.shape[0]
-    return rho.reshape(n, n, 2, 2).transpose(2, 0, 3, 1).reshape(2 * n, 2 * n)
-
-
 @pytest.mark.parametrize("model", [Model.BALANCED, Model.CORRELATED])
 def test_cptp_preserves_trace_hermiticity_positivity(model):
     family = kraus_family(WalkParams(0.9, 0.4, model))
     state = initial_state(COIN_CIRC, 12)
     for _ in range(10):
-        flat = _as_matrix(_apply_cptp(state.rho, family))
+        rho_next = _apply_cptp(state.rho, family)
+        dim = 2 * (2 * state.half_width + 1)
+        flat = rho_next.reshape(dim, dim)
         # trace preserved before the absorbing projection
         assert abs(np.trace(flat).real - state.survival()) < 1e-12
         assert np.max(np.abs(flat - flat.conj().T)) < 1e-12
@@ -200,39 +195,19 @@ def test_resource_cap(monkeypatch):
 
 @pytest.mark.parametrize("model", [Model.BALANCED, Model.CORRELATED])
 def test_resource_guard_covers_traced_peak(monkeypatch, model):
-    """The guarded figure bounds every array a return_series call allocates,
-    for a float64 state (real start) and a complex one."""
+    """The guarded figure bounds every array a return_series call allocates."""
     params, t_max = WalkParams(math.pi / 4, 0.5, model), 100
-    for coin_density, itemsize in ((COIN_R, 8), (COIN_CIRC, 16)):
-        tracemalloc.start()
-        try:
-            return_series(params, t_max, coin_density)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        state_bytes = (2 * t_max + 1) ** 2 * 4 * itemsize
-        assert 2 * state_bytes < peak <= _evolution_bytes(t_max)
+    tracemalloc.start()
+    try:
+        return_series(params, t_max)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    state_bytes = (2 * (2 * t_max + 3)) ** 2 * 16
+    assert 2 * state_bytes < peak <= _evolution_bytes(t_max)
     monkeypatch.setattr(directsim, "DEFAULT_MEMORY_CAP", _evolution_bytes(t_max) - 1)
     with pytest.raises(ResourceError):
         return_series(params, t_max)
-
-
-def test_state_is_its_light_cone_and_real_when_its_inputs_are():
-    """rho is the (2t + 1, 2t + 1, 4) cone, float64 for a real coin density and
-    real blocks and complex otherwise; step_monitored refuses any other shape."""
-    family = kraus_family(WalkParams(0.9, 0.4))
-    state = initial_state(COIN_R, 5)
-    assert state.rho.shape == (1, 1, 4) and state.rho.dtype == np.float64
-    for t in (1, 2):
-        state = step_monitored(state, family)
-        assert state.rho.shape == (2 * t + 1, 2 * t + 1, 4)
-        assert state.rho.dtype == np.float64
-    assert step_monitored(initial_state(COIN_CIRC, 5), family).rho.dtype == complex
-    complex_family = balanced_family_from_coin(general_coin(0.7, 0.4, -0.9, 1.3), 0.35)
-    assert step_monitored(initial_state(COIN_R, 5), complex_family).rho.dtype == complex
-    for shape in ((5, 5, 4), (3, 5, 4), (5, 5, 2, 2), (2, 5, 2, 5)):
-        with pytest.raises(ParameterError):
-            step_monitored(MonitoredDensityState(5, np.zeros(shape), 1), family)
 
 
 def _dense(op, n_pos):
@@ -251,20 +226,17 @@ REFERENCE_FAMILIES = {
 
 @pytest.mark.parametrize("name", sorted(REFERENCE_FAMILIES))
 def test_apply_cptp_matches_dense_kraus_sum(name):
-    """Dense sum_j E_j rho E_j^dag on the lattice padded by one site, for a random
-    array with mass at its edges: the grown array holds every site, none is dropped."""
+    """Dense sum_j E_j rho E_j^dag on a random array with mass at the edges."""
     family = REFERENCE_FAMILIES[name]
     n_pos = 7
     rng = np.random.default_rng(11)
-    shape = (n_pos, n_pos, 4)
+    shape = (2, n_pos, 2, n_pos)
     rho = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    padded = np.zeros((n_pos + 2, n_pos + 2, 4), dtype=complex)
-    padded[1:-1, 1:-1] = rho
-    flat = _as_matrix(padded)
+    flat = rho.reshape(2 * n_pos, 2 * n_pos)
     expected = sum(
-        e @ flat @ e.conj().T for e in (_dense(op, n_pos + 2) for op in family.kraus)
+        e @ flat @ e.conj().T for e in (_dense(op, n_pos) for op in family.kraus)
     )
-    got = _as_matrix(_apply_cptp(rho, family))
+    got = _apply_cptp(rho, family).reshape(2 * n_pos, 2 * n_pos)
     assert np.max(np.abs(got - expected)) < 1e-13
 
 

@@ -242,15 +242,18 @@ def test_stieltjes_matrix_vs_lattice_neumann_series():
     brute = np.zeros((s.dim, s.dim), dtype=complex)
     for j, (y, n) in enumerate(s.positions):
         for pair_j in range(4):
-            # cur[half + x, half + m] is the s(z) 4-vector of coin pairs at (x, m)
-            cur = np.zeros((p_dim, p_dim, 4), dtype=complex)
-            cur[half + y, half + n, pair_j] = 1.0
+            d, d2 = divmod(pair_j, 2)
+            cur = np.zeros((2, p_dim, 2, p_dim), dtype=complex)
+            cur[d, half + y, d2, half + n] = 1.0
             z_pow = 1.0
             for _ in range(40):
                 for i, (x, m) in enumerate(s.positions):
-                    brute[4 * i : 4 * i + 4, 4 * j + pair_j] += z_pow * cur[half + x, half + m]
-                # drop the grown edge sites, as the fixed lattice did
-                cur = _apply_cptp(cur, fam)[1:-1, 1:-1]
+                    for pair_i in range(4):
+                        c, c2 = divmod(pair_i, 2)
+                        brute[4 * i + pair_i, 4 * j + pair_j] += (
+                            z_pow * cur[c, half + x, c2, half + m]
+                        )
+                cur = _apply_cptp(cur, fam)
                 z_pow *= z
     assert np.max(np.abs(brute - s.matrix)) < 1e-12
 
