@@ -102,16 +102,14 @@ def test_recur_jobs_below_one_is_usage_error(capsys, monkeypatch, jobs):
 def test_recur_partial_failure_exit_2(capsys, monkeypatch):
     """One point fails and one does not: exit 2, a good row and a nan row."""
     inv, estimate = np.linalg.inv, genfun.recurrence_estimate
-    failing = []
+    scale = {}  # by np.ndim: the renewal inverse is the one 2-D call (A0's is batched)
 
     def estimate_failing_at_0_9(params, z, *args):
-        failing[:] = [z == 0.9]
+        scale[2] = 1e15 if z == 0.9 else 1.0  # past the condition limit at z = 0.9 only
         return estimate(params, z, *args)
 
-    # at z = 0.9, the renewal inverse (a 2-D call) scaled past the condition limit
     monkeypatch.setattr(genfun, "recurrence_estimate", estimate_failing_at_0_9)
-    monkeypatch.setattr(np.linalg, "inv",
-                        lambda m: inv(m) * (1e15 if failing[0] and np.ndim(m) == 2 else 1))
+    monkeypatch.setattr(np.linalg, "inv", lambda m: inv(m) * scale.get(np.ndim(m), 1.0))
     code, out, _ = run_cli(
         capsys, "recur", "--theta", "0.25pi", "--p", "0.5",
         "--z", "0.5,0.9", "--nmax", "4", "--grid", "64",
