@@ -36,20 +36,22 @@ circle one root of the quadratic lies inside it and one outside, and
 products at any z. A family with complex coin blocks or a cross block
 of rank > 1 raises UnsupportedFamilyError.
 
-The one quadrature is over xi: Sidi's sin^4 substitution
-xi = s - (2/3) sin(2 s) + (1/12) sin(4 s), whose Jacobian (8/3) sin^4(s)
-flattens the integrand at the crest lines xi in pi*Z, where I - zV comes
-close to singular as z -> 1. It is sampled by the rectangle rule at
-half-interval offsets, so no node lands on a crest line, with weight
-(8/3) sin^4(s) / grid_n per node (DEFAULT_GRID = 512 nodes). The map is
-odd about s = pi: xi(2pi - s) = 2pi - xi(s). For real coin blocks the
-nodes xi and 2pi - xi carry complex-conjugate coefficients, so only the
-first half is computed and the harmonics are real. The cross basis reads
-only harmonics a (in xi) and n (in eta) of equal parity: one complex
-matmul per parity, with the nodes, phase rows and the index that gathers
-s(z) from the fold cached per (n_max, grid_n). resolvent_kernel, the
-pointwise resolvent at one momentum pair, is a pivoted 4 x 4 inverse for
-every family.
+The one quadrature is over xi: Sidi's sin^8 substitution, xi = s -
+(4/5) sin 2s + (1/5) sin 4s - (4/105) sin 6s + (1/280) sin 8s, whose
+Jacobian (128/35) sin^8(s) flattens the integrand at the crest lines
+xi in pi*Z, where I - zV comes close to singular as z -> 1. It is sampled
+by the rectangle rule at half-interval offsets, with weight
+(128/35) sin^8(s) / grid_n per node (DEFAULT_GRID = 384 nodes). Next to a
+crest line the sine series cancels, so a node is kept as k pi + delta, the
+offset delta taken from the integral of the Jacobian, and no node lands on
+a crest line. The map is odd about s = pi: xi(2pi - s) = 2pi - xi(s). For
+real coin blocks the nodes xi and 2pi - xi carry complex-conjugate
+coefficients, so only the first half is computed and the harmonics are
+real. The cross basis reads only harmonics a (in xi) and n (in eta) of
+equal parity: one complex matmul per parity, with the node phases
+exp(-i xi), phase rows and the index that gathers s(z) from the fold
+cached per (n_max, grid_n). resolvent_kernel, the pointwise resolvent at
+one momentum pair, is a pivoted 4 x 4 inverse for every family.
 
 s(z) commutes with the ket-bra swap J : (x, m, c, c') -> (m, x, c', c),
 the Hermiticity of rho (for real Kraus operators the map commutes with the
@@ -102,7 +104,7 @@ __all__ = [
 
 Z_CAP = 0.99999
 Z_MIN = 1e-2  # below, (1 - w) / z cancels: relative error 1.7e-7 at z = 1e-4, 5.4 at 1e-8
-DEFAULT_GRID = 512
+DEFAULT_GRID = 384
 DEFAULT_Z_SAMPLES = (
     0.99, 0.995, 0.998, 0.999, 0.9995, 0.9998, 0.9999, 0.99995, 0.99998, 0.99999,
 )
@@ -143,12 +145,23 @@ def resolvent_kernel(
         ) from exc
 
 
-def _subst_grid(grid_n: int) -> tuple[np.ndarray, np.ndarray]:
+def _subst_grid(grid_n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(k, delta, w): node j of Sidi's sin^8 rule on grid_n nodes is
+    xi_j = k_j pi + delta_j with weight w_j; |delta| < pi/2 and delta has
+    the sign of s_j - k_j pi."""
     if grid_n <= 0 or grid_n % 4:
         raise ParameterError("grid_n must be a positive multiple of 4")
-    s = (np.arange(grid_n) + 0.5) * (2 * np.pi / grid_n)
-    xi = s - (2.0 / 3.0) * np.sin(2 * s) + np.sin(4 * s) / 12.0
-    return xi, (8.0 / 3.0) * np.sin(s) ** 4 / grid_n
+    # s_j = (2j + 1) pi / grid_n = k pi + m pi / grid_n, m odd and |m| < grid_n / 2
+    odd = 2 * np.arange(grid_n) + 1
+    k = (odd + grid_n // 2) // grid_n
+    m = odd - k * grid_n
+    h = np.abs(m) * (np.pi / grid_n)
+    # xi(k pi +- h) = k pi +- xi(h), xi(h) = (128/35) int_0^h sin^8 by 20-point Gauss-Legendre,
+    # nodes t and weights 2 v_0^2 from the eigenpairs of the Jacobi matrix (Golub-Welsch)
+    j = np.arange(1, 20)
+    t, v = np.linalg.eigh(np.diag(j / np.sqrt(4.0 * j * j - 1), -1))
+    xi_h = (64.0 / 35.0) * h * (np.sin(h[:, None] * (1 + t) / 2) ** 8 @ (2 * v[0] ** 2))
+    return k, np.copysign(xi_h, m), (128.0 / 35.0) * np.sin(h) ** 8 / grid_n
 
 
 def _rank_one(m):
@@ -193,14 +206,14 @@ def _laurent_blocks(family):
     return blocks
 
 
-def _eta_parts(blocks, z, xi):
-    """(H0, H1, b) on the xi nodes, shapes (len(xi), 4, 4) twice and (len(xi),).
+def _eta_parts(blocks, z, phase):
+    """(H0, H1, b) on the nodes phase = exp(-i xi), shapes (n, 4, 4) twice and (n,).
 
     blocks are the _laurent_blocks of the family. H_n = b^(n-1) H1 for
     n >= 1 multiplies exp(i n eta) in (I - zV)^-1, and H_-n = P H_n P.
     """
     m_pp, m_mm, (u1, v1), (u2, v2) = blocks
-    phase = np.exp(-1j * xi)[:, None, None]
+    phase = phase[:, None, None]
     a0 = np.eye(4) - z * (m_pp * phase + m_mm * phase.conj())
     # A_-1 = u[:, 0] v[:, 0]^T and A_1 = u[:, 1] v[:, 1]^T, the columns of u scaled by -z
     u, v = -z * np.stack([u1, u2], axis=1), np.stack([v1, v2], axis=1)
@@ -253,7 +266,7 @@ def _fold_index(d1, d2, n_max):
 
 
 class _Tables(NamedTuple):
-    x: np.ndarray  # first-half xi nodes
+    phase: np.ndarray  # exp(-i xi) at the first-half nodes
     phases: np.ndarray  # 2 w exp(i a xi) per parity of a
     index: np.ndarray  # s(z) in _fold's output
     split: np.ndarray  # flat index of [s[ket, ket] | s[ket, J ket]] in s
@@ -262,18 +275,19 @@ class _Tables(NamedTuple):
 
 @functools.lru_cache(maxsize=8)
 def _tables(n_max, grid_n):
-    """First-half xi nodes, phase rows 2 w exp(i a xi) per parity of a (the
-    row a = n_max + 1 is never read), the index of s(z) in _fold's output, and
-    the gathers of the ket rows of s(z) and of J s(z) J, J the ket-bra swap,
-    with ket the two fixed points of J (e_(R,R,0,0) first, then e_(L,L,0,0))
-    followed by one basis index of each swapped pair. ParameterError for an
-    n_max that is odd or < 2 and for a grid_n _subst_grid refuses."""
+    """Node phases exp(-i xi) of the first half, phase rows 2 w exp(i a xi)
+    per parity of a (row a = n_max + 1 is never read), the index of s(z) in
+    _fold's output, and the gathers of the ket rows of s(z) and of J s(z) J,
+    J the ket-bra swap, with ket the two fixed points of J (e_(R,R,0,0) first,
+    then e_(L,L,0,0)) followed by one basis index of each swapped pair.
+    ParameterError for an odd or < 2 n_max and a grid_n _subst_grid refuses."""
     if n_max < 2 or n_max % 2:
         raise ParameterError("n_max must be even and >= 2")
-    x, w = _subst_grid(grid_n)
-    x, w = x[: grid_n // 2], w[: grid_n // 2]
+    k, delta, w = (part[: grid_n // 2] for part in _subst_grid(grid_n))
     rows = np.arange(-n_max, n_max + 1, 2)[None, :, None] + np.arange(2)[:, None, None]
-    phases = 2 * w * np.exp(1j * rows * x)
+    # exp(i a xi) = (-1)^(a k) exp(i a delta)
+    phases = 2 * w * (-1.0) ** (rows * k) * np.exp(1j * rows * delta)
+    phase = (-1.0) ** k * np.exp(-1j * delta)
     positions = np.array(cross_basis(n_max))
     d1, d2 = (positions[:, None] - positions[None, :]).transpose(2, 0, 1)
     index = _fold_index(d1, d2, n_max).transpose(0, 2, 1, 3).reshape(4 * len(positions), -1)
@@ -284,7 +298,7 @@ def _tables(n_max, grid_n):
     ket = np.concatenate([np.flatnonzero(j == basis), np.flatnonzero(basis < j)])
     split = len(j) * ket[:, None] + np.concatenate([ket, j[ket]])
     mirror = len(j) * j[ket][:, None] + np.concatenate([j[ket], ket])
-    tables = _Tables(x, phases, index, split, mirror)
+    tables = _Tables(phase, phases, index, split, mirror)
     for table in tables:
         table.flags.writeable = False
     return tables
@@ -295,10 +309,10 @@ def _fold(family, z, n_max, grid_n):
     H_n(xi) over the first-half nodes, a = 2j - n_max + q and n = 2k + q."""
     z = _check_z(z)
     blocks = _laurent_blocks(family)  # refuses an unsupported family before any work
-    x, phases = _tables(n_max, grid_n)[:2]
-    h0, h1, b = _eta_parts(blocks, z, x)
+    phase, phases = _tables(n_max, grid_n)[:2]
+    h0, h1, b = _eta_parts(blocks, z, phase)
     # powers[:, m] = b^(m-1), so H_m = powers[:, m] H1 for m >= 1; m = 0 is H0's slot
-    powers = np.ones((len(x), n_max + 2), dtype=complex)
+    powers = np.ones((len(phase), n_max + 2), dtype=complex)
     powers[:, 2:] = b[:, None]
     np.cumprod(powers, axis=1, out=powers)
     # parts below sqrt(tiny) ~ 1e-154 go to 0, so no product b^(n-1) H1 is subnormal
@@ -307,13 +321,13 @@ def _fold(family, z, n_max, grid_n):
         parts = table.view(float)
         parts[np.abs(parts) < _FLUSH] = 0.0
     # H_(2k+q) = coef[:, k, q] H1; H_(n_max+1) is never read
-    coef = powers.reshape(len(x), -1, 2)
+    coef = powers.reshape(len(phase), -1, 2)
     fold = np.empty(phases.shape[:2] + (coef.shape[1] * 16,))
     for q in (0, 1):  # one parity at a time holds half the harmonics in memory
         h = coef[:, :, q, None] * h1.reshape(-1, 1, 16)
         if q == 0:
             h[:, 0] = h0.reshape(-1, 16)
-        fold[q] = (phases[q] @ h.reshape(len(x), -1)).real
+        fold[q] = (phases[q] @ h.reshape(len(phase), -1)).real
         del h
     return fold.ravel()
 

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 
 import numpy as np
@@ -93,7 +94,7 @@ def test_recur_jobs_below_one_is_usage_error(capsys, monkeypatch, jobs):
     def no_pool(*_args, **_kwargs):
         raise AssertionError("process pool started")
 
-    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     code, out, err = run_cli(capsys, "recur", "--theta", "0.25pi", "--p", "0.5",
                              "--z", "0.5", "--nmax", "4", "--grid", "64", "--jobs", jobs)
     assert code == 1 and "jobs" in err and out == ""
@@ -372,6 +373,30 @@ def test_config_prefix_is_not_config(capsys):
     assert code == 0 and out.strip().splitlines()[1]
     code, _, err = run_cli(capsys, "--conf", "run.cfg", *evolve)
     assert code == 1 and "error" in err
+
+
+def test_config_run_leaves_default_parser_intact(capsys, tmp_path, monkeypatch):
+    """The parser without --config is built once per process; a --config run
+    builds its own, so a default run after it still reads the flags' defaults."""
+    cli._default_parser()
+    built = []
+    build_parser = cli.build_parser
+
+    def counting(config=None):
+        built.append(config)
+        return build_parser(config)
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("nmax=4\ngrid=64\n")
+    argv = ["recur", "--theta", "0.25pi", "--p", "0.5", "--z", "0.5"]
+    code, before, _ = run_cli(capsys, *argv)
+    assert code == 0 and before.splitlines()[1].split(",")[4:6] == ["20", str(genfun.DEFAULT_GRID)]
+    code, configured, _ = run_cli(capsys, "--config", str(cfg), *argv)
+    assert code == 0 and configured.splitlines()[1].split(",")[4:6] == ["4", "64"]
+    code, after, _ = run_cli(capsys, *argv)
+    assert code == 0 and after == before
+    assert built == [{"nmax": "4", "grid": "64"}]
 
 
 def test_config_missing_file(capsys):

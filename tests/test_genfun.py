@@ -101,7 +101,7 @@ def test_eta_coefficients_vs_uniform_eta_fft():
             p = RNG.uniform(0, 1)
             xi = RNG.uniform(0, 2 * np.pi, 2)
             fam = kraus_family(WalkParams(theta, p, model))
-            h0, h1, b = _eta_parts(_laurent_blocks(fam), z, xi)
+            h0, h1, b = _eta_parts(_laurent_blocks(fam), z, np.exp(-1j * xi))
             powers = b[None, :, None, None] ** np.arange(n_max)[:, None, None, None]
             h = np.concatenate([h0[None], powers * h1])
             for i, x in enumerate(xi):
@@ -625,32 +625,59 @@ def test_rank_two_cross_blocks_are_unsupported(monkeypatch):
     assert genfun._LAURENT == {}
 
 
-@pytest.mark.parametrize("grid_n", [64, genfun.DEFAULT_GRID, 2048])
-def test_sin4_substitution_nodes_and_weights(grid_n):
-    """Sidi's sin^4 rule: the weights sum to 1 and are the Jacobian of the map
-    (exp(i k xi) integrates to 0 for k = 1..4), the map is odd about s = pi
-    (the conjugate-node fold pairs xi with 2pi - xi), and xi is strictly
-    increasing with no node on a crest line xi in pi*Z. From grid 4096 on,
-    xi - pi at the middle nodes, about (8/15)(pi/grid_n)^5, is below half
-    a unit in the last place of pi, so those two nodes round onto it."""
-    xi, w = genfun._subst_grid(grid_n)
+@pytest.mark.parametrize("grid_n", [128, genfun.DEFAULT_GRID, 2048, 4096])
+def test_sin8_substitution_nodes_and_weights(grid_n):
+    """Sidi's sin^8 rule: the weights sum to 1 and are the Jacobian of the map
+    (exp(i k xi) integrates to 0 for k = 1..8; from 96 nodes on), the rule is
+    odd about s = pi (the conjugate-node fold pairs xi with 2pi - xi), and no
+    node lies on a crest line xi in pi*Z: each node xi = k pi + delta has a
+    nonzero offset delta on the side of k pi its s lies on, and the nodes are
+    strictly increasing in (k, delta). At grid 384 the first offset is 6.7e-20,
+    which the sine series xi(s) put at -1.0e-18."""
+    k, delta, w = genfun._subst_grid(grid_n)
     assert abs(w.sum() - 1.0) < 1e-14
-    assert max(abs(np.sum(w * np.exp(1j * k * xi))) for k in range(1, 5)) < 1e-14
+    harmonics = [w * (-1.0) ** (j * k) * np.exp(1j * j * delta) for j in range(1, 9)]
+    assert max(abs(np.sum(h)) for h in harmonics) < 1e-14
     assert np.all(w > 0)
-    assert np.max(np.abs(xi[::-1] - (2 * np.pi - xi))) < 1e-13
-    assert np.max(np.abs(w - w[::-1])) < 1e-14 * w.max()
-    assert np.all(np.diff(xi) > 0)
-    assert 0.0 < xi[0] and xi[grid_n // 2 - 1] < np.pi < xi[grid_n // 2] and xi[-1] < 2 * np.pi
+    assert np.all(k[::-1] == 2 - k) and np.all(delta[::-1] == -delta) and np.all(w[::-1] == w)
+    s = (np.arange(grid_n) + 0.5) * (2 * np.pi / grid_n)
+    assert np.all(delta != 0) and np.all(np.sign(delta) == np.sign(s - k * np.pi))
+    assert np.all(np.abs(delta) < np.pi / 2)
+    dk, dd = np.diff(k), np.diff(delta)
+    assert np.all((dk == 1) | ((dk == 0) & (dd > 0)))
+
+
+def test_default_point_inverts_one_matrix_per_first_half_node(monkeypatch):
+    """A default point takes one batched 4 x 4 inverse of DEFAULT_GRID // 2
+    matrices, one per first-half xi node, and the default tables hold that
+    many nodes: the count the benchmark's invert_grid_4x4.matrices reads."""
+    batches = []
+    invert = genfun.invert_grid_4x4
+
+    def counting(a):
+        batches.append(len(a))
+        return invert(a)
+
+    monkeypatch.setattr(genfun, "invert_grid_4x4", counting)
+    recurrence_estimate(WalkParams(math.pi / 4, 0.35), 0.999)
+    assert batches == [genfun.DEFAULT_GRID // 2]
+    tables = genfun._tables(20, genfun.DEFAULT_GRID)
+    assert tables.phase.shape == (genfun.DEFAULT_GRID // 2,)
+    assert tables.phases.shape[-1] == genfun.DEFAULT_GRID // 2
 
 
 @pytest.mark.parametrize("model", [Model.BALANCED, Model.CORRELATED])
 @pytest.mark.parametrize("p", [0.0, 0.35])
 def test_default_grid_converged_at_zcap(model, p):
-    """At Z_CAP, where the xi integrand is sharpest, the default grid is within
-    5e-9 of grid 4096 (the sin^2 rule at grid 1024 missed by up to 2.1e-7)."""
-    params = WalkParams(math.pi / 4, p, model)
-    ref = recurrence_estimate(params, Z_CAP, 20, 4096)
-    assert abs(recurrence_estimate(params, Z_CAP) - ref) < 5e-9
+    """At the two deepest z, where the xi integrand is sharpest, the default
+    grid is within 1e-9 of grid 4096 at theta = 0.05, pi/4 and theta* + 0.1
+    (the sin^4 rule at grid 512 missed by 1.8e-8 at theta = 0.05, p = 0.05,
+    Z_CAP; the sin^2 rule at grid 1024 by up to 2.1e-7)."""
+    for theta in (0.05, math.pi / 4, 0.2892 * math.pi + 0.1):
+        params = WalkParams(theta, p, model)
+        for z in (0.99998, Z_CAP):
+            ref = recurrence_estimate(params, z, 20, 4096)
+            assert abs(recurrence_estimate(params, z) - ref) < 1e-9
 
 
 def test_laurent_cache_keeps_values_and_is_bounded(monkeypatch):
@@ -692,10 +719,12 @@ def test_balanced_pi_half_closed_form_up_to_zcap(p):
 
 
 def test_balanced_theta_zero_unitary_never_returns():
-    """theta=0, p=0: the coin never flips, each coin state moves one way."""
+    """theta=0, p=0: the coin never flips, each coin state moves one way, so
+    R~ = 0 at every z; the default grid meets 1e-10 up to 0.99998 and 5e-10
+    at Z_CAP (the sin^4 rule at grid 512 read -1.6e-9 and -8.5e-9 there)."""
     for z in DEFAULT_Z_SAMPLES:
-        if z <= 0.9999:
-            assert abs(recurrence_estimate(WalkParams(0.0, 0.0), z)) < 1e-10
+        bound = 5e-10 if z == Z_CAP else 1e-10
+        assert abs(recurrence_estimate(WalkParams(0.0, 0.0), z)) < bound
 
 
 # ------------------------------------------------ correlated oracles up to Z_CAP
