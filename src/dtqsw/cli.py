@@ -60,6 +60,8 @@ def parse_list(text: str, convert=float) -> list:
         start, stop, step = (convert(part) for part in text.split(":"))
     except ValueError as exc:
         raise _UsageError(f"bad list or start:stop:step range {text!r}: {exc}") from exc
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise _UsageError(f"range ends and step must be finite in {text!r}")
     if step <= 0:
         raise _UsageError(f"range step must be positive in {text!r}")
     n = int(round((stop - start) / step))

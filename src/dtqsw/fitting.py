@@ -90,6 +90,8 @@ def fit_power_law(points, form: FitForm = FitForm.A_MINUS_B) -> PowerLawFit:
         raise ParameterError("need at least 4 points")
     z = np.array([q[0] for q in points], dtype=float)
     values = np.array([q[1] for q in points], dtype=float)
+    if not np.all(np.isfinite(z)):
+        raise ParameterError("z must be finite")
     if np.any(z >= 1.0) or np.any(np.diff(z) <= 0):
         raise ParameterError("z must be strictly increasing and < 1")
     if np.ptp(values) < 1e-14:

@@ -113,9 +113,6 @@ _COND_LIMIT = 1e14
 # largest |s - J s J| accepted, relative to the largest |s_ij|; rounding leaves < 1e-11
 _SWAP_TOL = 1e-9
 _FLUSH = np.sqrt(np.finfo(float).tiny)
-# _laurent_blocks of the most recent families; a recur sweep reads one family 10 times
-_LAURENT: dict = {}
-_LAURENT_SIZE = 32
 # coin pair 2*c + c' -> 2*c' + c
 _SWAP = [0, 2, 1, 3]
 
@@ -175,34 +172,25 @@ def _rank_one(m):
     return u[:, 0] * s[0], vt[0]
 
 
+@functools.lru_cache(maxsize=32)
 def _laurent_blocks(family):
     """M++, M-- and rank-one factors (u, v) of M+- and M-+, from model.shift_blocks.
 
     Raises UnsupportedFamilyError for complex coin blocks (conjugate-node
-    fold, coin-pair swap) or a cross block of rank > 1. The blocks are kept,
-    read-only, for the last _LAURENT_SIZE families, keyed by the coin blocks
-    and shifts of every Kraus operator; a refused family is never kept.
+    fold, coin-pair swap) or a cross block of rank > 1. The blocks are kept, read-only,
+    per family object for the 32 most recent; a refused family raises, so is never kept.
     """
     if not family.is_real:
         raise UnsupportedFamilyError(
             "complex coin blocks: the conjugate-node fold and the coin-pair swap need real ones"
         )
-    key = tuple(
-        tuple((shift, block.dtype.str, block.tobytes()) for block, shift in op.terms)
-        for op in family.kraus
+    shifts = shift_blocks(family)
+    m_pp, m_mm, m_pm, m_mp = (
+        shifts.get(pair, np.zeros((4, 4))) for pair in ((1, 1), (-1, -1), (1, -1), (-1, 1))
     )
-    blocks = _LAURENT.pop(key, None)
-    if blocks is None:
-        shifts = shift_blocks(family)
-        m_pp, m_mm, m_pm, m_mp = (
-            shifts.get(pair, np.zeros((4, 4))) for pair in ((1, 1), (-1, -1), (1, -1), (-1, 1))
-        )
-        blocks = m_pp, m_mm, _rank_one(m_pm), _rank_one(m_mp)
-        for array in (m_pp, m_mm, *blocks[2], *blocks[3]):
-            array.flags.writeable = False
-    _LAURENT[key] = blocks  # a dict keeps insertion order: the most recent family is last
-    if len(_LAURENT) > _LAURENT_SIZE:
-        _LAURENT.pop(next(iter(_LAURENT)), None)
+    blocks = m_pp, m_mm, _rank_one(m_pm), _rank_one(m_mp)
+    for array in (m_pp, m_mm, *blocks[2], *blocks[3]):
+        array.flags.writeable = False
     return blocks
 
 

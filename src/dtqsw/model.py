@@ -12,7 +12,9 @@ Conventions (fixed here, inherited by every other module):
 from __future__ import annotations
 
 import enum
+import functools
 import math
+import types
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,7 +90,8 @@ def general_coin(theta: float, phi: float, alpha: float, beta: float) -> np.ndar
 
 @dataclass(frozen=True)
 class TranslationKraus:
-    """Position-homogeneous operator: sum of (2x2 coin block) x (shift +-1)."""
+    """Position-homogeneous operator: sum of (2x2 coin block) x (shift +-1).
+    The blocks are read-only copies: a shared family cannot change in place."""
 
     terms: tuple  # of (ndarray(2,2), int)
 
@@ -98,7 +101,9 @@ class TranslationKraus:
             shift = int(shift)
             if shift not in (-1, 1):
                 raise ParameterError(f"shift {shift}: every term must step +-1")
-            clean.append((np.asarray(block), shift))
+            block = np.array(block)
+            block.flags.writeable = False
+            clean.append((block, shift))
         object.__setattr__(self, "terms", tuple(clean))
 
     def momentum(self, k):
@@ -114,7 +119,7 @@ class TranslationKraus:
         return all(np.isrealobj(b) or np.allclose(b.imag, 0) for b, _ in self.terms)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # hashed by identity: the key of the shift-block caches
 class TranslationKrausFamily:
     kraus: tuple  # of TranslationKraus
 
@@ -189,19 +194,23 @@ def kraus_correlated(params: WalkParams) -> TranslationKrausFamily:
     return TranslationKrausFamily(tuple(ops))
 
 
+@functools.lru_cache(maxsize=32)
 def kraus_family(params: WalkParams) -> TranslationKrausFamily:
+    """The family of params, built once and shared (the 32 most recent are kept)."""
     if params.model is Model.BALANCED:
         return kraus_balanced(params)
     return kraus_correlated(params)
 
 
-def shift_blocks(family: TranslationKrausFamily) -> dict:
+@functools.lru_cache(maxsize=32)
+def shift_blocks(family: TranslationKrausFamily) -> types.MappingProxyType:
     """M_{ss'} = sum_j B_{j,s} kron conj(B_{j,s'}), keyed by the shift pair (s, s').
 
     B_{j,s} is the coin block of Kraus operator j at shift s; the 4x4 blocks
     act on the coin-pair index 2*c + c'. One step of the map is rho'(x, y) =
     sum M_{ss'} rho(x - s, y - s'), and for real blocks momentum_kernel is
-    sum M_{ss'} exp(-i (s k1 + s' k2)). All-zero blocks are left out.
+    sum M_{ss'} exp(-i (s k1 + s' k2)). All-zero blocks are left out. Built once
+    per family object (the 32 most recent), as a read-only mapping of read-only arrays.
     """
     blocks = {}
     for op in family.kraus:
@@ -210,7 +219,9 @@ def shift_blocks(family: TranslationKrausFamily) -> dict:
                 # np.kron(ket, conj(bra)), as one broadcast product
                 kron = ket[:, None, :, None] * np.conj(bra)[None, :, None, :]
                 blocks[s, s2] = blocks.get((s, s2), 0) + kron.reshape(4, 4)
-    return {key: m for key, m in blocks.items() if np.any(m)}
+    for m in blocks.values():
+        m.flags.writeable = False
+    return types.MappingProxyType({key: m for key, m in blocks.items() if np.any(m)})
 
 
 def momentum_kernel(family: TranslationKrausFamily, k1, k2) -> np.ndarray:

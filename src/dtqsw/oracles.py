@@ -16,16 +16,25 @@ __all__ = [
 ]
 
 
+# theta(1 - cot^2) + cot = theta * sum_k c_k theta^(2k), c_6 .. c_0 (Taylor series)
+_SMALL_THETA_SERIES = (-8 / 2606175, -5528 / 212837625, -4 / 18711, -8 / 4725, -4 / 315,
+                       -4 / 45, 4 / 3)
+_SMALL_THETA = 0.15
+
+
 def recurrence_unitary(theta: float) -> float:
     """Recurrence probability of the unitary walk, (2/pi)[theta(1-cot^2) + cot].
 
-    theta = 0 is special-cased to 0; the formula is singular there but the
-    walker moves in a single direction and never returns.
+    The 1/theta terms of the bracket cancel, leaving a relative error of
+    about 2e-16/theta^2, so below _SMALL_THETA the Taylor series is summed
+    instead: relative error under 3e-16 there against 50-digit values, and
+    under 1e-14 for the closed form above it. theta = 0 gives 0; the formula
+    is singular there, but the walker moves one way and never returns.
     """
     if not 0.0 <= theta <= math.pi / 2 + 1e-15:
         raise ParameterError("theta must lie in [0, pi/2]")
-    if theta == 0.0:
-        return 0.0
+    if theta < _SMALL_THETA:
+        return (2.0 / math.pi) * theta * float(np.polyval(_SMALL_THETA_SERIES, theta * theta))
     cot = math.cos(theta) / math.sin(theta)
     return (2.0 / math.pi) * (theta * (1.0 - cot**2) + cot)
 

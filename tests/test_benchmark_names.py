@@ -16,7 +16,8 @@ import sys
 import numpy as np
 import pytest
 
-from dtqsw.model import Model
+from dtqsw import directsim, genfun
+from dtqsw.model import Model, WalkParams
 from dtqsw.perturbation import slope_series
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -102,3 +103,22 @@ def test_make_references_tangent_slope_runs(model):
     theta, t_max = 0.3 * math.pi, 20
     values = make_references.tangent_slope(theta, model, t_max)
     assert np.max(np.abs(np.array(values) - slope_series(theta, t_max, model).values)) < 1e-13
+
+
+def test_spans_see_the_memoised_names():
+    """kraus_family and shift_blocks are memoised, but every route still calls
+    the names perfbench wraps: one genfun point records one span each of
+    kraus_family, recurrence_estimate and stieltjes_matrix, and a monitored
+    evolution one step_monitored span per step."""
+    from perfbench.spans import SpanRecorder, instrument
+
+    params = WalkParams(0.3 * math.pi, 0.35)
+    with instrument(SpanRecorder()) as recorder:
+        genfun.recurrence_estimate(params, 0.99, 4, 64)
+    names = [span.name for span in recorder.spans]
+    for name in ("model.kraus_family", "genfun.recurrence_estimate",
+                 "genfun.stieltjes_matrix"):
+        assert names.count(name) == 1, name
+    with instrument(SpanRecorder()) as recorder:
+        directsim.return_series(params, 5)
+    assert [span.name for span in recorder.spans].count("directsim.step_monitored") == 5

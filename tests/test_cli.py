@@ -232,6 +232,18 @@ def test_fit_malformed_row_is_usage_error(capsys, tmp_path, row, reason):
     assert err.splitlines()[0].endswith("at line 4")
 
 
+@pytest.mark.parametrize("z", ["nan", "-inf"])
+def test_fit_non_finite_z_is_error(capsys, tmp_path, z):
+    """A recur row with a non-finite z is refused with a typed error, no traceback."""
+    rows = [f"balanced,0.785398163397,0.5,{zv},4,64,rtilde,,{0.5 + i / 10},"
+            for i, zv in enumerate(["0.9", "0.95", "0.99", z])]
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join([CSV_HEADER, *rows]) + "\n")
+    code, out, err = run_cli(capsys, "fit", "--input", str(bad))
+    assert code == 1 and out == "" and "Traceback" not in err
+    assert err.startswith("error: ") and "finite" in err
+
+
 def test_minima_csv(capsys):
     code, out, _ = run_cli(
         capsys, "minima", "--theta", "0.39pi", "--z", "0.999",
@@ -316,8 +328,13 @@ def test_config_values_reach_commands_as_numbers(capsys, tmp_path):
         # a start:stop:step range with start > stop has no value
         ["recur", "--theta", "0.5:0.1:0.1", "--p", "0"],
         ["slope", "--theta", "0.3", "--t", "10:5:1"],
+        # a range with a non-finite end or step has no value count
+        ["recur", "--theta", "0.25pi", "--p", "0:inf:0.1"],
+        ["recur", "--theta", "0.25pi", "--p", "0:1:nan"],
+        ["recur", "--theta", "nan:1:0.1", "--p", "0"],
     ],
-    ids=["angle", "range-shape", "int", "empty", "empty-theta-range", "empty-t-range"],
+    ids=["angle", "range-shape", "int", "empty", "empty-theta-range", "empty-t-range",
+         "inf-stop", "nan-step", "nan-start"],
 )
 def test_malformed_list_is_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

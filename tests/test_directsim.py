@@ -266,3 +266,12 @@ def test_return_series_rejects_negative_first_return():
             return_prob=np.array([0.0, 0.5, 0.4]),
             first_return=np.array([0.5, -0.1]),
         )
+
+
+def test_return_series_computes_shift_blocks_once():
+    """Every step reads shift_blocks(family), and the blocks are computed once
+    per family, not once per step."""
+    shift_blocks.cache_clear()
+    return_series(WalkParams(0.3 * math.pi, 0.35, Model.CORRELATED), 50)
+    info = shift_blocks.cache_info()
+    assert info.misses == 1 and info.hits == 49

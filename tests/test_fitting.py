@@ -116,6 +116,9 @@ def test_fit_validation():
         fit_power_law(good[:-1] + [(Z_GRID[0], 0.6)])  # duplicate z
     with pytest.raises(ParameterError):
         fit_power_law([(z, float("nan")) for z in Z_GRID])
+    for z in (float("nan"), -math.inf):  # neither fails z >= 1 or the increase check
+        with pytest.raises(ParameterError, match="finite"):
+            fit_power_law(good[:-1] + [(z, 0.6)])
 
 
 def test_fit_degenerate_constant_data():

@@ -45,6 +45,7 @@ from dtqsw.model import (
     _coined_operator,
     balanced_family_from_coin,
     general_coin,
+    kraus_balanced,
     shift_blocks,
 )
 from dtqsw.oracles import pi_half_weighted_return
@@ -182,13 +183,14 @@ def test_complex_coin_family_is_unsupported(monkeypatch):
 
     for stage in ("_tables", "_eta_parts"):
         monkeypatch.setattr(genfun, stage, no_work)
-    monkeypatch.setattr(genfun, "_LAURENT", {})
+    _laurent_blocks.cache_clear()
     fam = balanced_family_from_coin(general_coin(math.pi / 3, 0.7, 1.1, 0.0), 0.3)
     for route in (fourier_blocks, stieltjes_matrix, stieltjes_matrix):
         with pytest.raises(UnsupportedFamilyError, match="complex coin blocks") as info:
             route(fam, 0.5, 4, grid_n=64)
         assert "fourier_blocks" not in str(info.value)
-    assert genfun._LAURENT == {}
+    info = _laurent_blocks.cache_info()
+    assert info.currsize == 0 and info.hits == 0 and info.misses == 3
 
 
 def test_fourier_blocks_small_z_is_identity():
@@ -610,7 +612,7 @@ def test_rank_two_cross_blocks_are_unsupported(monkeypatch):
 
     for stage in ("_tables", "_eta_parts"):
         monkeypatch.setattr(genfun, stage, no_work)
-    monkeypatch.setattr(genfun, "_LAURENT", {})
+    _laurent_blocks.cache_clear()
     amp, coin = math.sqrt(0.5), coin_matrix(1.1)
     shift_then_coin = TranslationKraus(
         ((amp * coin @ np.diag([1.0, 0.0]), 1), (amp * coin @ np.diag([0.0, 1.0]), -1))
@@ -622,7 +624,8 @@ def test_rank_two_cross_blocks_are_unsupported(monkeypatch):
     for route in (fourier_blocks, stieltjes_matrix, stieltjes_matrix):
         with pytest.raises(UnsupportedFamilyError, match="rank"):
             route(fam, 0.5, 4, grid_n=64)
-    assert genfun._LAURENT == {}
+    info = _laurent_blocks.cache_info()
+    assert info.currsize == 0 and info.hits == 0 and info.misses == 3
 
 
 @pytest.mark.parametrize("grid_n", [128, genfun.DEFAULT_GRID, 2048, 4096])
@@ -680,24 +683,45 @@ def test_default_grid_converged_at_zcap(model, p):
             assert abs(recurrence_estimate(params, z) - ref) < 1e-9
 
 
-def test_laurent_cache_keeps_values_and_is_bounded(monkeypatch):
+def test_laurent_cache_keeps_values_and_is_bounded():
     """R~ is the same bit for bit with a cold and a warm cache of the Laurent
-    blocks; the cache holds at most _LAURENT_SIZE families, the most recent."""
-    monkeypatch.setattr(genfun, "_LAURENT", {})
+    blocks; the cache holds at most 32 families, the most recent, and the
+    factors it hands out are read-only."""
+    _laurent_blocks.cache_clear()
     params = WalkParams(math.pi / 4, 0.35, Model.CORRELATED)
     cold = recurrence_estimate(params, 0.999, 4, 64)
-    assert len(genfun._LAURENT) == 1
+    assert _laurent_blocks.cache_info().currsize == 1
     warm = recurrence_estimate(params, 0.999, 4, 64)
-    assert warm == cold and len(genfun._LAURENT) == 1
-    p_values = np.linspace(0, 1, genfun._LAURENT_SIZE + 5)
-    families = [kraus_family(WalkParams(0.9, p)) for p in p_values]
-    blocks = [genfun._laurent_blocks(fam) for fam in families]
-    assert len(genfun._LAURENT) == genfun._LAURENT_SIZE
-    assert genfun._laurent_blocks(families[-1]) is blocks[-1]  # kept
-    assert genfun._laurent_blocks(families[0]) is not blocks[0]  # evicted, rebuilt
+    info = _laurent_blocks.cache_info()
+    assert warm == cold and info.currsize == 1 and info.hits == 1
+    assert info.maxsize == 32
+    families = [kraus_family(WalkParams(0.9, p)) for p in np.linspace(0, 1, info.maxsize + 5)]
+    blocks = [_laurent_blocks(fam) for fam in families]
+    assert _laurent_blocks.cache_info().currsize == info.maxsize
+    assert _laurent_blocks(families[-1]) is blocks[-1]  # kept
+    assert _laurent_blocks(families[0]) is not blocks[0]  # evicted, rebuilt
     assert recurrence_estimate(params, 0.999, 4, 64) == cold
-    with pytest.raises(ValueError):  # the cached blocks cannot be changed in place
-        blocks[-1][0][0, 0] = 1.0
+    m_pp, m_mm, (u1, v1), (u2, v2) = blocks[-1]
+    for array in (m_pp, m_mm, u1, v1, u2, v2):
+        with pytest.raises(ValueError):  # the cached blocks cannot be changed in place
+            array[0] = 1.0
+
+
+def test_z_sweep_builds_one_family(monkeypatch):
+    """A sweep over 10 z reads kraus_family at every point, and the family is
+    built once: kraus_family is memoised per WalkParams."""
+    built = []
+
+    def spy(params):
+        built.append(params)
+        return kraus_balanced(params)
+
+    monkeypatch.setattr("dtqsw.model.kraus_balanced", spy)
+    kraus_family.cache_clear()
+    params = WalkParams(0.3 * math.pi, 0.35)
+    points = z_sweep(params, np.linspace(0.5, 0.95, 10), n_max=4, grid_n=64)
+    assert len(points) == 10 and all(pt.error is None for pt in points)
+    assert built == [params]
 
 
 # --------------------------------------------------- balanced oracles up to Z_CAP

@@ -12,12 +12,14 @@ from dtqsw import (
     general_coin,
     kraus_balanced,
     kraus_correlated,
+    kraus_family,
     momentum_kernel,
 )
 from dtqsw.errors import ParameterError, UnsupportedFamilyError
 from dtqsw.model import (
     TranslationKraus,
     balanced_family_from_coin,
+    shift_blocks,
     unitary_step_momentum,
 )
 
@@ -174,3 +176,36 @@ def test_translation_kraus_rejects_non_unit_shift(shift):
     """
     with pytest.raises(ParameterError):
         TranslationKraus(((np.eye(2) / math.sqrt(2), shift),))
+
+
+@pytest.mark.parametrize("model", [Model.BALANCED, Model.CORRELATED])
+def test_kraus_family_is_built_once_per_params(model):
+    """Equal WalkParams share one family, and one family one set of shift blocks;
+    families built apart are distinct keys, compared and hashed by identity."""
+    fam = kraus_family(WalkParams(0.3 * math.pi, 0.35, model))
+    assert kraus_family(WalkParams(0.3 * math.pi, 0.35, model.value)) is fam
+    assert shift_blocks(fam) is shift_blocks(fam)
+    build = kraus_balanced if model is Model.BALANCED else kraus_correlated
+    apart = build(WalkParams(0.3 * math.pi, 0.35, model))
+    assert apart != fam and len({fam, apart}) == 2
+
+
+@pytest.mark.parametrize("model", [Model.BALANCED, Model.CORRELATED])
+def test_shared_family_and_shift_blocks_are_read_only(model):
+    """Writing into a shared family's coin block, or into one of its shift
+    blocks, raises; the blocks are copies, so the source array stays free."""
+    fam = kraus_family(WalkParams(0.3 * math.pi, 0.35, model))
+    for op in fam.kraus:
+        for block, _ in op.terms:
+            with pytest.raises(ValueError):
+                block[0, 0] = 1.0
+    blocks = shift_blocks(fam)
+    for m in blocks.values():
+        with pytest.raises(ValueError):
+            m[0, 0] = 1.0
+    with pytest.raises(TypeError):
+        blocks[1, 1] = np.eye(4)
+    source = np.eye(2)
+    op = TranslationKraus(((source, 1),))
+    source[0, 0] = 2.0
+    assert op.terms[0][0][0, 0] == 1.0

@@ -142,6 +142,23 @@ def test_recurrence_unitary_anchors():
     assert recurrence_unitary(math.pi / 2) == pytest.approx(1.0)
 
 
+# (theta, 50-digit value of (2/pi)[theta(1 - cot^2 theta) + cot theta])
+SMALL_THETA_REFERENCES = [
+    (1e-10, 8.4882636315677512e-11),
+    (1e-8, 8.4882636315677512e-9),
+    (1e-6, 8.4882636315671854e-7),
+    (1e-4, 8.4882636259089088e-5),
+    (1e-3, 8.4882630656834283e-4),
+    (1e-2, 8.488207042335124e-3),
+]
+
+
+@pytest.mark.parametrize("theta, ref", SMALL_THETA_REFERENCES)
+def test_recurrence_unitary_small_theta(theta, ref):
+    """The closed form cancels at small theta (0.0 at 1e-8, 6.6e-5 off at 1e-6)."""
+    assert abs(recurrence_unitary(theta) - ref) <= 1e-14 * ref
+
+
 def test_recurrence_unitary_monotone():
     thetas = np.linspace(0.01, math.pi / 2, 200)
     vals = [recurrence_unitary(t) for t in thetas]
