@@ -14,8 +14,11 @@ class OutOfValidatedRangeError(ParameterError):
 
 
 class UnsupportedFamilyError(DtqswError):
-    """Kraus family with complex coin blocks, or cross shift blocks of rank > 1,
-    fed to a routine that needs real blocks of rank <= 1."""
+    """Kraus family that a generating-function routine cannot take: complex coin
+    blocks, cross shift blocks of rank > 1, or shift blocks without the
+    reflection symmetry M_-s,-s' = (G x G) M_s,s' (G x G)^T, G = [[0, 1], [-1, 0]]
+    in (R, L). Every family the library builds has real blocks of rank <= 1 and
+    the reflection; directsim runs any family."""
 
 
 class TruncationError(DtqswError):

@@ -33,8 +33,9 @@ E0 = adj W, E+ = diag(0, 1), E- = diag(1, 0), and P the coin-pair swap
 blocks det(I - zV) is even in eta, so where it does not vanish on the
 circle one root of the quadratic lies inside it and one outside, and
 |a|, |b| < 1. A xi node costs one batched 4 x 4 inverse and a few 2 x 2
-products at any z. A family with complex coin blocks or a cross block
-of rank > 1 raises UnsupportedFamilyError.
+products at any z. A family with complex coin blocks, with shift blocks
+that miss the reflection symmetry below, or with a cross block of rank > 1
+raises UnsupportedFamilyError before any work.
 
 The one quadrature is over xi: Sidi's sin^8 substitution, xi = s -
 (4/5) sin 2s + (1/5) sin 4s - (4/105) sin 6s + (1/280) sin 8s, whose
@@ -47,24 +48,36 @@ offset delta taken from the integral of the Jacobian, and no node lands on
 a crest line. The map is odd about s = pi: xi(2pi - s) = 2pi - xi(s). For
 real coin blocks the nodes xi and 2pi - xi carry complex-conjugate
 coefficients, so only the first half is computed and the harmonics are
-real. The cross basis reads only harmonics a (in xi) and n (in eta) of
-equal parity: one complex matmul per parity, with the node phases
-exp(-i xi), phase rows and the index that gathers s(z) from the fold
-cached per (n_max, grid_n). resolvent_kernel, the pointwise resolvent at
-one momentum pair, is a pivoted 4 x 4 inverse for every family.
+real. resolvent_kernel, the pointwise resolvent at one momentum pair, is a
+pivoted 4 x 4 inverse for every family.
 
-s(z) commutes with the ket-bra swap J : (x, m, c, c') -> (m, x, c', c),
+Every family the library builds is symmetric under the reflection Pi:
+(x, m) -> (-x, -m) with G x G on the coin pair, G = [[0, 1], [-1, 0]] in
+(R, L), which maps e_(R,R) <-> e_(L,L) and e_(R,L) -> -e_(L,R). On the
+shift blocks, M_-s,-s' = K M_s,s' K^T with K = G x G, so s(z) commutes
+with Pi. At offsets (d1, d2) the cross basis reads harmonic a = (d1 + d2)/2
+(in xi) of H_n, n = |d1 - d2|/2 (in eta), with a = n (mod 2) and
+|a| + n <= n_max or |a| = n: 251 blocks at n_max = 20. The 131 with a >= 0
+are folded as [Re Y, Im Y] @ [Re H; -Im H], with rows 2 w exp(i a xi) b^(n-1)
+(one real matmul for H1, one for H0 - I), and the a < 0 blocks are gathered
+from their Pi images with signs. The a = 0 blocks are averaged with their images, so s(z) commutes
+with Pi bit for bit. The node phases, the phase rows, the fold runs and the
+signed index that gathers s(z) are cached per (n_max, grid_n).
+
+s(z) also commutes with the ket-bra swap J : (x, m, c, c') -> (m, x, c', c),
 the Hermiticity of rho (for real Kraus operators the map commutes with the
-transpose of rho). J fixes e_(R,R,0,0) and e_(L,L,0,0) and swaps the other
-basis vectors in pairs, so on J-even and J-odd vectors s(z) splits into
-two blocks, 83 x 83 and 81 x 81 at n_max = 20. The renewal inverts both
-blocks of the J-average of s(z), after refusing with ConsistencyError an
-s(z) that differs from J s(z) J by more than 1e-9 of its largest entry
-(rounding leaves under 1e-11). The source e_(R,R,0,0) is J-even, so w
-comes from the even block, and the exact kappa_1 = |s|_1 |s^-1|_1 is read
-from the two inverses in O(dim^2). The guard refuses dim kappa_1 > 1e14:
-|A|_2 <= sqrt(dim) |A|_1, so kappa_2 <= dim kappa_1, and it refuses every
-s(z) a kappa_2 limit would.
+transpose of rho), and J commutes with Pi. On the joint (J, Pi) eigenvectors
+s(z) splits into four blocks, 41, 42, 41 and 40 rows at n_max = 20, one per
+orbit representative of the group {1, Pi, J, J Pi} that each holds. The
+renewal refuses with ConsistencyError an s(z) that differs from J s(z) J,
+then from Pi s(z) Pi^T, by more than 1e-9 of its largest entry (rounding
+leaves under 1e-11), and inverts the four blocks of the group average of
+s(z) in one call on a stack padded with the identity. The source
+e_(R,R,0,0) is half in the (J+, Pi+) block, which holds
+(e_(R,R) + e_(L,L)) / sqrt 2, so w comes from that block, and the exact
+kappa_1 = |s|_1 |s^-1|_1 is read from the four inverses in O(dim^2). The
+guard refuses dim kappa_1 > 1e14: |A|_2 <= sqrt(dim) |A|_1, so
+kappa_2 <= dim kappa_1, and it refuses every s(z) a kappa_2 limit would.
 """
 
 from __future__ import annotations
@@ -82,9 +95,11 @@ from .errors import (
     DtqswError,
     OutOfValidatedRangeError,
     ParameterError,
+    ResourceError,
     SingularKernelError,
     UnsupportedFamilyError,
 )
+from . import directsim
 from .model import TranslationKrausFamily, WalkParams, kraus_family, momentum_kernel, shift_blocks
 
 __all__ = [
@@ -110,11 +125,19 @@ DEFAULT_Z_SAMPLES = (
 )
 
 _COND_LIMIT = 1e14
-# largest |s - J s J| accepted, relative to the largest |s_ij|; rounding leaves < 1e-11
+# largest |s - g s g^T| accepted, g = J or Pi, relative to the largest |s_ij|;
+# rounding leaves < 1e-11
 _SWAP_TOL = 1e-9
 _FLUSH = np.sqrt(np.finfo(float).tiny)
 # coin pair 2*c + c' -> 2*c' + c
-_SWAP = [0, 2, 1, 3]
+_SWAP = np.array([0, 2, 1, 3])
+# the reflection on a coin pair, G x G with G = [[0, 1], [-1, 0]] in (R, L):
+# e_RR <-> e_LL, e_RL -> -e_LR and e_LR -> -e_RL
+_REFLECT = np.array([3, 2, 1, 0])
+_REFLECT_SIGN = np.array([1.0, -1.0, -1.0, 1.0])
+# characters of the group {1, Pi, J, J Pi}, element 2 j + pi for J^j Pi^pi: row 2 c_J + c_Pi
+# is the renewal block of J-parity (-1)^c_J and Pi-parity (-1)^c_Pi
+_CHARACTERS = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]], dtype=float)
 
 
 def _check_z(z: float) -> float:
@@ -177,7 +200,9 @@ def _laurent_blocks(family):
     """M++, M-- and rank-one factors (u, v) of M+- and M-+, from model.shift_blocks.
 
     Raises UnsupportedFamilyError for complex coin blocks (conjugate-node
-    fold, coin-pair swap) or a cross block of rank > 1. The blocks are kept, read-only,
+    fold, coin-pair swap), for blocks without the reflection symmetry
+    M_-s,-s' = K M_s,s' K^T, K = G x G (the a >= 0 fold and the four-block
+    renewal), or for a cross block of rank > 1. The blocks are kept, read-only,
     per family object for the 32 most recent; a refused family raises, so is never kept.
     """
     if not family.is_real:
@@ -188,6 +213,16 @@ def _laurent_blocks(family):
     m_pp, m_mm, m_pm, m_mp = (
         shifts.get(pair, np.zeros((4, 4))) for pair in ((1, 1), (-1, -1), (1, -1), (-1, 1))
     )
+    signs = _REFLECT_SIGN[:, None] * _REFLECT_SIGN
+    residual = max(
+        np.max(np.abs(image - signs * m[np.ix_(_REFLECT, _REFLECT)]))
+        for m, image in ((m_pp, m_mm), (m_pm, m_mp))
+    )
+    if residual > 4 * np.finfo(float).eps * max(np.max(np.abs(m_pp)), np.max(np.abs(m_pm))):
+        raise UnsupportedFamilyError(
+            f"shift blocks not symmetric under the reflection (x, c) -> (-x, G c) "
+            f"(residual {residual:.3g}): the a >= 0 fold and the four-block renewal need it"
+        )
     blocks = m_pp, m_mm, _rank_one(m_pm), _rank_one(m_mp)
     for array in (m_pp, m_mm, *blocks[2], *blocks[3]):
         array.flags.writeable = False
@@ -233,91 +268,225 @@ def _eta_parts(blocks, z, phase):
     k[:, :, 1, 0] = -scale * w21
     k[0, :, 1, 1] = c * (w11 + a)
     k[1, :, 1, 1] = c * (b * w11 + 1)
-    # L k R over the node stack, term by term: the inner sums have length 2
-    lk = left[:, :, :1] * k[:, :, None, 0] + left[:, :, 1:] * k[:, :, None, 1]
-    lkr = lk[..., :1] * right[:, None, 0] + lk[..., 1:] * right[:, None, 1]
+    # L k R over the node stack, term by term (the inner sums have length 2), for k0 then
+    # k1: one at a time halves the temporaries of the broadcast products
+    lkr = []
+    for part in k:
+        lk = left[:, :, :1] * part[:, None, 0] + left[:, :, 1:] * part[:, None, 1]
+        lkr.append(lk[..., :1] * right[:, None, 0] + lk[..., 1:] * right[:, None, 1])
     return a0_inv - lkr[0], -lkr[1], b
 
 
-def _fold_index(d1, d2, n_max):
-    """Index into _fold's output of the 4 x 4 blocks at even offsets (d1, d2).
+def _block_index(d1, d2, row_of):
+    """Flat index into [F, -F] of the 4 x 4 entries of the blocks at even
+    offsets (d1, d2), F the flat fold whose block (a, n) is row row_of[a, n].
 
     The block is harmonic a = (d1 + d2)/2 of H_-b, b = (d1 - d2)/2, which is
-    P H_b P for b > 0; a = b (mod 2), and block (q, j, k) of the fold is
-    a = 2j - n_max + q against n = 2k + q.
+    P H_b P for b > 0. For a < 0 it is the reflection image of the block at
+    (-d1, -d2): entry (c, c') is sigma_c sigma_c' times its entry (k c, k c'),
+    k and sigma the coin-pair map and signs of G x G.
     """
     a, b = (d1 + d2) // 2, (d1 - d2) // 2
-    q = a % 2
-    block = (q * (n_max + 1) + (a + n_max - q) // 2) * (n_max // 2 + 1) + abs(b) // 2
-    pair = np.where((b > 0)[..., None], _SWAP, np.arange(4))
-    return 16 * block[..., None, None] + 4 * pair[..., :, None] + pair[..., None, :]
+    negative = (a < 0)[..., None]
+    pair = np.where(np.where(a < 0, b < 0, b > 0)[..., None], _SWAP, np.arange(4))
+    pair = np.where(negative, pair[..., _REFLECT], pair)
+    block = row_of[np.abs(a), np.abs(b)][..., None, None]
+    flat = 16 * block + 4 * pair[..., :, None] + pair[..., None, :]
+    minus = negative[..., None] & (_REFLECT_SIGN[:, None] * _REFLECT_SIGN < 0)
+    return np.where(minus, flat + 16 * (row_of.max() + 1), flat)
+
+
+class _Fold(NamedTuple):
+    """The folded blocks (a, n), a >= 0: first n = 0 at a = 0, 2, .., n_max, then
+    n = 1, 2, .. in turn, by a."""
+
+    count: int  # blocks folded
+    groups: tuple  # (n - 1, start, stop, first row after n = 0) per run at n >= 1
+    zero: np.ndarray  # flat fold entries of the a = 0 blocks
+    image: np.ndarray  # the entry of each one's reflection image
+    sign: np.ndarray  # and its sign
+
+
+def _fold_pairs(n_max, keep):
+    """The _Fold of the blocks (a, n), 0 <= a, n <= n_max, a = n (mod 2), with
+    keep(a, n) (true for every n = 0 block), and row_of[a, n]: each block's row in
+    the fold, -1 where none.
+
+    An a = 0 block of s(z) equals its reflection image: F(0, 0) = K F(0, 0) K^T
+    and F(0, n) = KP F(0, n) (KP)^T for n >= 1, K = G x G; zero, image and
+    sign pair each entry with its image.
+    """
+    a, n = np.indices((n_max + 1, n_max + 1))
+    taken = (a % 2 == n % 2) & keep(a, n)
+    order = np.lexsort((a[taken], n[taken]))
+    a, n = a[taken][order], n[taken][order]
+    row_of = np.full((n_max + 1, n_max + 1), -1)
+    row_of[a, n] = np.arange(len(a))
+    n_zero = n_max // 2 + 1
+    rows = row_of[0, n[a == 0]]
+    pair = np.where((n[a == 0] > 0)[:, None], _SWAP[_REFLECT], _REFLECT)
+    coin = np.arange(4)
+    zero = 16 * rows[:, None, None] + 4 * coin[:, None] + coin
+    image = 16 * rows[:, None, None] + 4 * pair[:, :, None] + pair[:, None, :]
+    sign = np.broadcast_to(_REFLECT_SIGN[:, None] * _REFLECT_SIGN, zero.shape)
+    # runs of blocks at one n >= 1 and a = start, start + 2, .. < stop: rows start:stop:2
+    # of the phase rows (s(z) reads two runs at n > n_max / 2: a <= n_max - n, and a = n)
+    first = np.flatnonzero((np.diff(n, prepend=0) != 0) | (np.diff(a, prepend=-2) != 2))
+    last = np.append(first[1:], len(a)) - 1
+    groups = tuple((int(n[i]) - 1, int(a[i]), int(a[j]) + 1, int(i) - n_zero)
+                   for i, j in zip(first, last) if n[i] > 0)
+    fold = _Fold(len(a), groups, zero.ravel(), image.ravel(), sign.ravel())
+    return fold, row_of
 
 
 class _Tables(NamedTuple):
     phase: np.ndarray  # exp(-i xi) at the first-half nodes
-    phases: np.ndarray  # 2 w exp(i a xi) per parity of a
-    index: np.ndarray  # s(z) in _fold's output
-    split: np.ndarray  # flat index of [s[ket, ket] | s[ket, J ket]] in s
-    mirror: np.ndarray  # the same rows of J s J: [s[J ket, J ket] | s[J ket, ket]]
+    phases: np.ndarray  # 2 w exp(i a xi), a = 0 .. n_max
+    fold: _Fold  # the blocks s(z) reads with a >= 0
+    index: np.ndarray  # s(z) in [F, -F]
+    orbits: np.ndarray  # (k, j, pi, r, o) -> flat index in s of (g r, g k o), g = J^j Pi^pi
+    sign: np.ndarray  # sigma(r), the sign of Pi on representative r: Pi e_r = sigma(r) e_(Pi r)
+    scale: np.ndarray  # (c, r, o): 1 / (4 |fix o|) where block c holds r and o, else 0
+    pad: np.ndarray  # (c, r, r): 1 where block c does not hold r
+    fix: np.ndarray  # |fix r|, the group elements that fix representative r
+    diagonal: tuple  # per k: the entries of orbits[k] on the diagonal of s, and their signs
+
+
+def _table_bytes(n_max, grid_n):
+    """Peak bytes of _tables(n_max, grid_n), the figure its ResourceError guards:
+    32 (dim + 4)^2 + 24 (n_max + 1) grid_n + 1 MiB, dim = 4 (2 n_max + 1).
+
+    The signed index of s(z) and the renewal's orbit gather are about dim^2
+    int64 each (dim is the size of s(z)), and building them holds about two
+    more; the xi rows, with their temporaries, are about three (n_max + 1) x
+    grid_n / 2 complex arrays. Traced peaks at grid 384 are 31 dim^2 from
+    n_max = 100 on (309 MB at n_max = 400, 0.93 of the figure).
+    """
+    dim = 4 * (2 * n_max + 1)
+    return 32 * (dim + 4) ** 2 + 24 * (n_max + 1) * max(grid_n, 0) + (1 << 20)
 
 
 @functools.lru_cache(maxsize=8)
 def _tables(n_max, grid_n):
-    """Node phases exp(-i xi) of the first half, phase rows 2 w exp(i a xi)
-    per parity of a (row a = n_max + 1 is never read), the index of s(z) in
-    _fold's output, and the gathers of the ket rows of s(z) and of J s(z) J,
-    J the ket-bra swap, with ket the two fixed points of J (e_(R,R,0,0) first,
-    then e_(L,L,0,0)) followed by one basis index of each swapped pair.
-    ParameterError for an odd or < 2 n_max and a grid_n _subst_grid refuses."""
+    """Node phases exp(-i xi) of the first half and rows 2 w exp(i a xi) for
+    a = 0 .. n_max; the _Fold of the 131 blocks (a, n), a >= 0, that s(z)
+    reads at n_max = 20 and the signed index of s(z) in [F, -F]; and the
+    renewal's gather of s(z) over the orbits of the group {1, Pi, J, J Pi}
+    (J the ket-bra swap, Pi the reflection), with the block scales.
+
+    Orbit representatives r come with the origin's e_(R,R) first, then its
+    e_(R,L). Block c = 2 c_J + c_Pi holds r when every element that fixes r
+    acts on e_r by chi_c. ParameterError for an odd or < 2 n_max and a grid_n
+    _subst_grid refuses; ResourceError when _table_bytes exceeds
+    directsim.DEFAULT_MEMORY_CAP.
+    """
     if n_max < 2 or n_max % 2:
         raise ParameterError("n_max must be even and >= 2")
+    nbytes, cap = _table_bytes(n_max, grid_n), directsim.DEFAULT_MEMORY_CAP
+    if nbytes > cap:
+        raise ResourceError(
+            f"genfun tables for n_max={n_max} would need {nbytes} bytes (cap {cap})"
+        )
     k, delta, w = (part[: grid_n // 2] for part in _subst_grid(grid_n))
-    rows = np.arange(-n_max, n_max + 1, 2)[None, :, None] + np.arange(2)[:, None, None]
     # exp(i a xi) = (-1)^(a k) exp(i a delta)
+    rows = np.arange(n_max + 1)[:, None]
     phases = 2 * w * (-1.0) ** (rows * k) * np.exp(1j * rows * delta)
     phase = (-1.0) ** k * np.exp(-1j * delta)
-    positions = np.array(cross_basis(n_max))
-    d1, d2 = (positions[:, None] - positions[None, :]).transpose(2, 0, 1)
-    index = _fold_index(d1, d2, n_max).transpose(0, 2, 1, 3).reshape(4 * len(positions), -1)
-    # J: (x, m, c, c') -> (m, x, c', c)
-    where = {point: i for i, point in enumerate(cross_basis(n_max))}
-    j = (4 * np.array([where[point[::-1]] for point in where])[:, None] + _SWAP).ravel()
-    basis = np.arange(len(j))
-    ket = np.concatenate([np.flatnonzero(j == basis), np.flatnonzero(basis < j)])
-    split = len(j) * ket[:, None] + np.concatenate([ket, j[ket]])
-    mirror = len(j) * j[ket][:, None] + np.concatenate([j[ket], ket])
-    tables = _Tables(phase, phases, index, split, mirror)
-    for table in tables:
+    # (a, |b|) of the cross basis: |a| + |b| <= n_max, or |a| = |b| on one arm
+    fold, row_of = _fold_pairs(n_max, lambda a, n: (a + n <= n_max) | (a == n))
+    positions = cross_basis(n_max)
+    d1, d2 = (np.array(positions)[:, None] - np.array(positions)[None, :]).transpose(2, 0, 1)
+    index = _block_index(d1, d2, row_of).transpose(0, 2, 1, 3).reshape(4 * len(positions), -1)
+    # J: (x, m, c, c') -> (m, x, c', c); Pi: (x, m, c) -> (-x, -m, sigma_c e_(k c))
+    where = {point: i for i, point in enumerate(positions)}
+    dim = 4 * len(positions)
+    swap = (4 * np.array([where[m, x] for x, m in positions])[:, None] + _SWAP).ravel()
+    reflect = (4 * np.array([where[-x, -m] for x, m in positions])[:, None] + _REFLECT).ravel()
+    sign = np.tile(_REFLECT_SIGN, len(positions))
+    # element 2 j + pi is J^j Pi^pi: e_i -> sign e_perm(i); the group law is XOR
+    perm = np.stack([np.arange(dim), reflect, swap, swap[reflect]])
+    signs = np.stack([np.ones(dim), sign, np.ones(dim), sign])
+    origin, seen, reps = 4 * where[0, 0], np.zeros(dim, dtype=bool), []
+    for i in (origin, origin + 1, *range(dim)):
+        if not seen[i]:
+            reps.append(i)
+            seen[perm[:, i]] = True
+    image, image_sign = perm[:, reps], signs[:, reps]  # (g, r)
+    fixed = image == np.array(reps)
+    held = np.all(~fixed | (_CHARACTERS[:, :, None] * image_sign == 1), axis=1)  # (c, r)
+    g = np.arange(4)
+    product = g[:, None] ^ g  # (k, h) -> h k
+    shape = (4, 2, 2, len(reps), len(reps))
+    orbits = (dim * image[None, :, :, None] + image[product][:, :, None]).reshape(shape)
+    orbit_signs = (image_sign[None, :, :, None] * image_sign[product][:, :, None]).reshape(shape)
+    diagonal = []
+    for part, part_signs in zip(orbits, orbit_signs):
+        on = np.flatnonzero(part % (dim + 1) == 0)
+        diagonal.append((on, part_signs.ravel()[on]))
+    fix = fixed.sum(axis=0).astype(float)
+    both = held[:, :, None] & held[:, None, :]
+    scale = np.where(both, 1 / (4 * fix), 0.0)
+    pad = np.eye(len(reps)) * ~held[:, None, :]
+    tables = _Tables(
+        phase, phases, fold, index, orbits, image_sign[1], scale, pad, fix, tuple(diagonal)
+    )
+    for table in (*tables[:2], *tables[2][2:], *tables[3:-1], *sum(diagonal, ())):
         table.flags.writeable = False
     return tables
 
 
-def _fold(family, z, n_max, grid_n):
-    """The xi fold, flat and real: block (q, j, k) is 2 Re sum_xi w exp(i a xi)
-    H_n(xi) over the first-half nodes, a = 2j - n_max + q and n = 2k + q."""
-    z = _check_z(z)
-    blocks = _laurent_blocks(family)  # refuses an unsupported family before any work
-    phase, phases = _tables(n_max, grid_n)[:2]
+def _fold(blocks, z, tables, fold):
+    """[F, -F], F the flat xi fold of the blocks (a, n) of fold: 2 Re sum_xi
+    w exp(i a xi) H_n(xi) over the first-half nodes, the a = 0 blocks
+    averaged with their reflection images, so that s(z) commutes with Pi bit
+    for bit. blocks are the family's _laurent_blocks, tables _tables'."""
+    phase, phases = tables.phase, tables.phases
     h0, h1, b = _eta_parts(blocks, z, phase)
-    # powers[:, m] = b^(m-1), so H_m = powers[:, m] H1 for m >= 1; m = 0 is H0's slot
-    powers = np.ones((len(phase), n_max + 2), dtype=complex)
-    powers[:, 2:] = b[:, None]
-    np.cumprod(powers, axis=1, out=powers)
-    # parts below sqrt(tiny) ~ 1e-154 go to 0, so no product b^(n-1) H1 is subnormal
-    # (subnormal arithmetic is slow; at theta = pi/2 - 1e-9 |b| is ~1e-17)
-    for table in (powers, h1):
-        parts = table.view(float)
-        parts[np.abs(parts) < _FLUSH] = 0.0
-    # H_(2k+q) = coef[:, k, q] H1; H_(n_max+1) is never read
-    coef = powers.reshape(len(phase), -1, 2)
-    fold = np.empty(phases.shape[:2] + (coef.shape[1] * 16,))
-    for q in (0, 1):  # one parity at a time holds half the harmonics in memory
-        h = coef[:, :, q, None] * h1.reshape(-1, 1, 16)
-        if q == 0:
-            h[:, 0] = h0.reshape(-1, 16)
-        fold[q] = (phases[q] @ h.reshape(len(phase), -1)).real
-        del h
-    return fold.ravel()
+    # Re(Y H) = [Re Y, Im Y] @ [Re H; -Im H]: rows interleaved per node on both sides.
+    # Against H0 the rows are 2 w exp(i a xi), a = 0, 2, .., n_max; H0 - I is folded and
+    # the a = 0 harmonic of I, exactly I, added after, so that at small z, where s(z) - I
+    # is O(z), the rounding stays relative to s(z) - I
+    zero_rows = phases.view(float)[::2]
+    out = np.empty((fold.count, 16))
+    np.matmul(zero_rows, np.stack([h0.real - np.eye(4), -h0.imag], axis=1).reshape(-1, 16),
+              out=out[: len(zero_rows)])
+    out[0] += np.eye(4).ravel()
+    right = np.stack([h1.real, -h1.imag], axis=1).reshape(-1, 16)
+    del h0, h1  # each stage frees what it is done with: a point's peak heap stays small
+    # powers[m] = b^m, so H_n = powers[n - 1] H1 for n >= 1. A power whose row factor
+    # 2 w |b^m| is below sqrt(tiny) / eps ~ 7e-139 goes to 0, and so does a part of H1
+    # below sqrt(tiny): the parts of a row factor are then 0 or above sqrt(tiny), and no
+    # product in the matmul is subnormal (subnormal arithmetic is slow; at theta =
+    # pi/2 - 1e-9 |b| is ~1e-17). phases[0] holds 2 w.
+    powers = np.empty((fold.groups[-1][0] + 1, len(phase)), dtype=complex)
+    powers[0] = 1.0
+    powers[1:] = b
+    np.cumprod(powers, axis=0, out=powers)
+    powers[np.abs(powers) * phases[0].real < _FLUSH / np.finfo(float).eps] = 0.0
+    right[np.abs(right) < _FLUSH] = 0.0
+    # a row of Y against H1 holds 2 w exp(i a xi) b^(n-1), so that Re(Y H1) is block (a, n)
+    rows = np.empty((fold.count - len(zero_rows), len(phase)), dtype=complex)
+    for power, start, stop, first in fold.groups:
+        np.multiply(phases[start:stop:2], powers[power],
+                    out=rows[first : first + (stop - start + 1) // 2])
+    np.matmul(rows.view(float), right, out=out[len(zero_rows):])
+    flat = out.ravel()
+    flat[fold.zero] = (flat[fold.zero] + fold.sign * flat[fold.image]) / 2
+    return np.concatenate([flat, -flat])
+
+
+@functools.lru_cache(maxsize=8)
+def _fourier_tables(n_max, grid_n):
+    """The _Fold of every block (a, n) with a, n <= n_max, the keys of
+    fourier_blocks and their index in [F, -F]."""
+    fold, row_of = _fold_pairs(n_max, lambda a, n: a >= 0)
+    span = range(-2 * n_max, 2 * n_max + 1, 2)
+    keys = [(d1, d2) for d1 in span for d2 in span if abs(d1) + abs(d2) <= 2 * n_max]
+    d1, d2 = np.array(keys).T
+    index = _block_index(d1, d2, row_of)
+    for table in (*fold[2:], index):
+        table.flags.writeable = False
+    return fold, keys, index
 
 
 def fourier_blocks(
@@ -325,14 +494,15 @@ def fourier_blocks(
 ) -> dict:
     """Map (d1, d2) -> 4x4 block A_{xm,yn}(z) with d1 = x - y, d2 = m - n.
 
-    The keys are the even offsets with |d1| + |d2| <= 2 n_max, all the
-    cross basis reads; odd offsets are never computed. The blocks are real.
+    The keys are the even offsets with |d1| + |d2| <= 2 n_max: a superset of
+    the blocks the cross basis reads (251 of the 462 at n_max = 20); odd
+    offsets are never computed. The blocks are real, folded for a >= 0 and
+    taken from their reflection images for a < 0, as in s(z).
     """
-    fold = _fold(family, z, n_max, grid_n)
-    span = range(-2 * n_max, 2 * n_max + 1, 2)
-    keys = [(d1, d2) for d1 in span for d2 in span if abs(d1) + abs(d2) <= 2 * n_max]
-    d1, d2 = np.array(keys).T
-    return dict(zip(keys, fold[_fold_index(d1, d2, n_max)]))
+    z, blocks = _check_z(z), _laurent_blocks(family)  # refuses a family before any work
+    tables = _tables(n_max, grid_n)
+    fold, keys, index = _fourier_tables(n_max, grid_n)
+    return dict(zip(keys, _fold(blocks, z, tables, fold)[index]))
 
 
 def cross_basis(n_max: int) -> list:
@@ -362,42 +532,69 @@ class StieltjesMatrix:
 def stieltjes_matrix(
     family: TranslationKrausFamily, z: float, n_max: int, grid_n: int = DEFAULT_GRID
 ) -> StieltjesMatrix:
-    """Assemble the real s(z) over the even cross basis: one gather from the xi fold."""
-    mat = _fold(family, z, n_max, grid_n)[_tables(n_max, grid_n).index]
-    positions = cross_basis(n_max)
-    return StieltjesMatrix(z=z, n_max=n_max, positions=positions, matrix=mat)
+    """Assemble the real s(z) over the even cross basis: one signed gather from the xi fold."""
+    z, blocks = _check_z(z), _laurent_blocks(family)  # refuses a family before any work
+    tables = _tables(n_max, grid_n)
+    mat = _fold(blocks, z, tables, tables.fold)[tables.index]
+    return StieltjesMatrix(z=z, n_max=n_max, positions=cross_basis(n_max), matrix=mat)
+
+
+def _orbit_norms(blocks, fix):
+    """|A|_1 of each operator A that commutes with {1, Pi, J, J Pi}, given by its
+    (c, r, o) blocks as in _split_renewal (blocks has shape (m, 4, r, o)). The
+    entry of column r at g r' is sum_c chi_c(g) |fix r| / 4 blocks[c, r', r] up
+    to sign, and every column has the 1-norm of its orbit representative."""
+    entries = np.matmul(_CHARACTERS, blocks.reshape(len(blocks), 4, -1))
+    entries = np.abs(entries, out=entries).sum(axis=1)
+    columns = (1 / fix) @ entries.reshape(len(blocks), len(fix), -1)  # (m, r)
+    return np.max(columns * fix / 4, axis=1)
 
 
 def _split_renewal(matrix, tables):
-    """(w_(R,R,0,0) + w_(L,L,0,0), kappa_1) with w = s^-1 e_(R,R,0,0), from the
-    J-even and J-odd blocks of s = matrix; tables are _tables' for its truncation.
+    """(1 - w_(R,R,0,0) - w_(L,L,0,0), kappa_1) with w = s^-1 e_(R,R,0,0), from
+    the four (J, Pi) blocks of s = matrix; tables are _tables' for its truncation.
 
-    s is replaced by its J-average (s + JsJ)/2, after a ConsistencyError if
-    the two differ by more than _SWAP_TOL of the largest entry (the ket rows
-    hold every entry of s - JsJ up to sign). With P = s[ket, ket] and
-    Q = s[ket, J ket], the even block is P + Q and the odd block is P - Q
-    without the two fixed points. A column of s and its J image sum to
-    sum|P| + sum|Q| over the paired rows. With M and O the block inverses,
-    s^-1 reads 2M between fixed points, M between a fixed point and a pair,
-    and (M +- O)/2 in each pair of pairs, so a fixed column of |s^-1| sums
-    to 2 sum|M| and a paired one to sum|M| over the fixed rows plus
-    sum max(|M|, |O|) over pairs.
+    J and Pi commute, and each of the 41, 42, 41 and 40 rows of the blocks
+    at n_max = 20 is an orbit representative r. A ConsistencyError is raised
+    if s differs from J s J, then from Pi s Pi^T, by more than _SWAP_TOL of
+    its largest entry: the orbit gather holds every entry of s. In its place s
+    is the group average, whose block c is 1/(4 |fix o|) sum_(g, k) chi_c(k)
+    sign s[g r, g k o] in the coordinates v[r]; the inverse is one
+    np.linalg.inv on the stack, each block padded with the identity. The
+    (J+, Pi+) block holds (e_(R,R) + e_(L,L)) / sqrt 2 at the origin, so w is
+    its inverse's first entry; the blocks are summed from s - I, and
+    1 - w = [(s - I) s^-1]_00, so that at small z, where s - I is O(z), the
+    rounding stays relative to s - I. kappa_1 is exact (_orbit_norms).
     """
-    flat = matrix.ravel()
-    g, mirror = flat[tables.split], flat[tables.mirror]
-    asymmetry = np.max(np.abs(g - mirror))
-    if asymmetry > _SWAP_TOL * np.max(np.abs(g)):
-        raise ConsistencyError(
-            f"s(z) is not symmetric under the ket-bra swap: |s - JsJ| = {asymmetry:.3e}"
-        )
-    g = (g + mirror) / 2
-    p, q = g[:, : len(g)], g[:, len(g):]
-    s_norm = np.max(np.abs(p).sum(axis=0) + np.abs(q[2:]).sum(axis=0))
-    even = np.linalg.inv(p + q)
-    even_abs, odd_abs = np.abs(even), np.abs(np.linalg.inv((p - q)[2:, 2:]))
-    fixed = 2 * even_abs[:, :2].sum(axis=0)
-    paired = even_abs[:2, 2:].sum(axis=0) + np.maximum(even_abs[2:, 2:], odd_abs).sum(axis=0)
-    return 2 * (even[0, 0] + even[1, 0]), s_norm * max(fixed.max(), paired.max())
+    peak = max(matrix.max(), -matrix.min())
+    reps = len(tables.fix)
+    asymmetry, sums = np.zeros((4, 2)), np.empty((4, reps * reps))
+    # one k at a time, a quarter of s: t[j, pi, r, o] = sign s[g r, g k o], g = J^j Pi^pi,
+    # where J is unsigned and sign = sigma(r)^pi sigma(o)^(pi + k_pi), k = 2 k_j + k_pi
+    sigma = tables.sign
+    for k, (index, (diagonal, unit)) in enumerate(zip(tables.orbits, tables.diagonal)):
+        t = np.take(matrix, index)
+        if k % 2:
+            t[:, 0] *= sigma
+            t[:, 1] *= sigma[:, None]
+        else:
+            t[:, 1] *= sigma[:, None] * sigma
+        for i, difference in enumerate((t[0] - t[1], t[:, 0] - t[:, 1])):
+            asymmetry[k, i] = np.max(np.abs(difference, out=difference))
+        t.reshape(-1)[diagonal] -= unit
+        np.add(t[0, 0] + t[0, 1], t[1, 0] + t[1, 1], out=sums[k].reshape(reps, reps))
+    for value, what in zip(asymmetry.max(axis=0), ("ket-bra swap: |s - JsJ|",
+                                                   "reflection: |s - Pi s Pi^T|")):
+        if value > _SWAP_TOL * peak:
+            raise ConsistencyError(f"s(z) is not symmetric under the {what} = {value:.3e}")
+    # block c of s - I sums chi_c(k) t over k and g
+    blocks = (_CHARACTERS @ sums).reshape(4, reps, reps) * tables.scale
+    system = blocks + np.eye(reps)
+    both = np.stack([system, np.linalg.inv(system)])
+    q = blocks[0, 0] @ both[1, 0, :, 0]
+    both -= tables.pad
+    norms = _orbit_norms(both, tables.fix)
+    return q, norms[0] * norms[1]
 
 
 def recurrence_estimate(
@@ -408,7 +605,7 @@ def recurrence_estimate(
 ) -> float:
     """R~_z from the renewal equation, traced against rho0 = |R,0><R,0|.
 
-    w = s(z)^-1 e_(R,R,0,0), solved in the J-even block of s(z), gives
+    w = s(z)^-1 e_(R,R,0,0), solved in the (J+, Pi+) block of s(z), gives
     (1 - w_(R,R,0,0) - w_(L,L,0,0)) / z. The initial coin choice is WLOG
     by coin-state independence. OutOfValidatedRangeError below Z_MIN.
     """
@@ -417,14 +614,14 @@ def recurrence_estimate(
         raise OutOfValidatedRangeError(f"z={z} is below the validated floor {Z_MIN}")
     s = stieltjes_matrix(kraus_family(params), z, n_max, grid_n)
     try:
-        w, kappa_1 = _split_renewal(s.matrix, _tables(n_max, grid_n))
+        q, kappa_1 = _split_renewal(s.matrix, _tables(n_max, grid_n))
     except np.linalg.LinAlgError as exc:
         raise ConditioningError(f"inverse failed at z={z}, n_max={n_max}: {exc}") from exc
     # kappa_2 <= dim kappa_1, so this refuses every s(z) with kappa_2 above the limit (and NaN)
     cond = s.dim * kappa_1
     if not cond <= _COND_LIMIT:
         raise ConditioningError(f"condition estimate {cond:.3e} at z={z}, n_max={n_max}")
-    return float((1.0 - w) / z)
+    return float(q / z)
 
 
 @dataclass(frozen=True)

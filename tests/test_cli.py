@@ -103,14 +103,14 @@ def test_recur_jobs_below_one_is_usage_error(capsys, monkeypatch, jobs):
 def test_recur_partial_failure_exit_2(capsys, monkeypatch):
     """One point fails and one does not: exit 2, a good row and a nan row."""
     inv, estimate = np.linalg.inv, genfun.recurrence_estimate
-    scale = {}  # by np.ndim: the renewal inverse is the one 2-D call (A0's is batched)
+    scale = {}  # by size: the renewal's block stack is wider than A0's 4 x 4 stack
 
     def estimate_failing_at_0_9(params, z, *args):
-        scale[2] = 1e15 if z == 0.9 else 1.0  # past the condition limit at z = 0.9 only
+        scale[True] = 1e15 if z == 0.9 else 1.0  # past the condition limit at z = 0.9 only
         return estimate(params, z, *args)
 
     monkeypatch.setattr(genfun, "recurrence_estimate", estimate_failing_at_0_9)
-    monkeypatch.setattr(np.linalg, "inv", lambda m: inv(m) * scale.get(np.ndim(m), 1.0))
+    monkeypatch.setattr(np.linalg, "inv", lambda m: inv(m) * scale.get(np.shape(m)[-1] > 4, 1.0))
     code, out, _ = run_cli(
         capsys, "recur", "--theta", "0.25pi", "--p", "0.5",
         "--z", "0.5,0.9", "--nmax", "4", "--grid", "64",
@@ -124,8 +124,8 @@ def test_recur_partial_failure_exit_2(capsys, monkeypatch):
 def test_recur_error_with_comma_stays_in_its_column(capsys, monkeypatch, tmp_path):
     """A ConditioningError names "z=..., n_max=...": its "," must not add a field."""
     inv = np.linalg.inv
-    # the renewal inverse (the one 2-D call; A0's is batched) scaled past the condition limit
-    monkeypatch.setattr(np.linalg, "inv", lambda m: inv(m) * (1e15 if np.ndim(m) == 2 else 1))
+    # the renewal inverse (the stack wider than A0's 4 x 4 ones) scaled past the condition limit
+    monkeypatch.setattr(np.linalg, "inv", lambda m: inv(m) * (1e15 if np.shape(m)[-1] > 4 else 1))
     out_path = tmp_path / "recur.csv"
     code, _, _ = run_cli(
         capsys, "recur", "--theta", "0.25pi", "--p", "0.5",
@@ -151,6 +151,20 @@ def test_slope_over_memory_cap_is_typed_error(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "slope", "--theta", "0.25pi", "--t", "10")
     assert code == 1 and out == ""
     assert err.startswith("error: slope series would need") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [
+    ["recur", "--theta", "0.3", "--p", "0", "--z", "0.5"],
+    ["minima", "--theta", "0.39pi"],
+], ids=["recur", "minima"])
+def test_genfun_tables_over_memory_cap_exit_1(capsys, monkeypatch, command):
+    """A truncation whose genfun tables would pass the memory cap exits 1 with
+    "error: ...", before any point and without a traceback."""
+    genfun._tables.cache_clear()
+    monkeypatch.setattr(directsim, "DEFAULT_MEMORY_CAP", genfun._table_bytes(50, 384) - 1)
+    code, out, err = run_cli(capsys, *command, "--nmax", "50")
+    assert code == 1 and out == ""
+    assert err.startswith("error: genfun tables for n_max=50") and "Traceback" not in err
 
 
 def test_evolve_hadamard_first_steps(capsys):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from dtqsw import (
     Model,
     WalkParams,
     coin_matrix,
+    directsim,
     fourier_blocks,
     genfun,
     kraus_family,
@@ -26,6 +28,7 @@ from dtqsw.errors import (
     ConsistencyError,
     OutOfValidatedRangeError,
     ParameterError,
+    ResourceError,
     SingularKernelError,
     UnsupportedFamilyError,
 )
@@ -411,8 +414,8 @@ def test_linalg_errors_become_typed_errors(monkeypatch):
         m_pp, m_mm, (u1, v1), cross = laurent_blocks(family)
         return m_pp, m_mm, (100 * u1, v1), cross
 
-    def singular_unbatched(a):
-        if np.ndim(a) == 2:
+    def singular_renewal(a):
+        if np.shape(a)[-1] > 4:
             raise np.linalg.LinAlgError("Singular matrix")
         return inv(a)
 
@@ -429,8 +432,8 @@ def test_linalg_errors_become_typed_errors(monkeypatch):
         for model in (Model.BALANCED, Model.CORRELATED):
             with pytest.raises(SingularKernelError, match="unit circle"):
                 recurrence_estimate(WalkParams(0.6, 0.3, model), 0.5, 4, 64)
-    # only the 2-D renewal inverse fails: the batched A0 inverse still runs
-    monkeypatch.setattr(genfun.np.linalg, "inv", singular_unbatched)
+    # only the renewal's stack of four blocks fails: the batched 4 x 4 A0 inverse still runs
+    monkeypatch.setattr(genfun.np.linalg, "inv", singular_renewal)
     with pytest.raises(ConditioningError):
         recurrence_estimate(WalkParams(0.6, 0.3), 0.5, 4, 64)
 
@@ -449,17 +452,41 @@ def _ket_bra_swap(n_max):
     return j, fixed, pairs
 
 
-def _swap_eigenbasis(n_max):
-    """Orthogonal Q whose columns are the J-even vectors (fixed points, then
-    (e_i + e_Ji)/sqrt 2 per pair) followed by the J-odd ones (e_i - e_Ji)/sqrt 2."""
-    j, fixed, pairs = _ket_bra_swap(n_max)
-    q = np.zeros((len(j), len(j)))
-    q[fixed, np.arange(len(fixed))] = 1.0
-    for k, (i, ji) in enumerate(pairs):
-        even, odd = len(fixed) + k, len(fixed) + len(pairs) + k
-        q[[i, ji], even] = math.sqrt(0.5)
-        q[[i, ji], odd] = math.sqrt(0.5), -math.sqrt(0.5)
-    return q, len(fixed) + len(pairs)
+def _reflection(n_max):
+    """Pi as a signed permutation of the cross basis, (x, m, c) -> (-x, -m, G c)
+    with G = [[0, 1], [-1, 0]] in (R, L) on each coin: Pi e_i = sign[i] e_perm[i]."""
+    positions = cross_basis(n_max)
+    perm = np.array([
+        4 * positions.index((-x, -m)) + 3 - pair for x, m in positions for pair in range(4)
+    ])
+    sign = np.tile([1.0, -1.0, -1.0, 1.0], len(positions))
+    return perm, sign
+
+
+def _reflected(mat, n_max):
+    """Pi mat Pi^T."""
+    perm, sign = _reflection(n_max)
+    return sign[:, None] * sign * mat[np.ix_(perm, perm)]
+
+
+def _joint_eigenbasis(n_max):
+    """Orthogonal Q whose columns span the (J+, Pi+), (J+, Pi-), (J-, Pi+) and
+    (J-, Pi-) eigenspaces in turn, their sizes, and the orbits of {1, Pi, J, J Pi}
+    on the basis indices."""
+    j = _ket_bra_swap(n_max)[0]
+    perm, sign = _reflection(n_max)
+    dim = len(j)
+    swap, reflect = np.eye(dim)[:, j], np.zeros((dim, dim))
+    reflect[perm, np.arange(dim)] = sign
+    columns, sizes = [], []
+    for c_j in (1, -1):
+        for c_pi in (1, -1):
+            projector = (np.eye(dim) + c_j * swap) @ (np.eye(dim) + c_pi * reflect) / 4
+            values, vectors = np.linalg.eigh(projector)
+            columns.append(vectors[:, values > 0.5])
+            sizes.append(int(np.sum(values > 0.5)))
+    orbits = {frozenset((i, j[i], perm[i], j[perm[i]])) for i in range(dim)}
+    return np.hstack(columns), sizes, [sorted(orbit) for orbit in orbits]
 
 
 def _inject_stieltjes(monkeypatch, z, n_max, mat):
@@ -473,7 +500,9 @@ def _inject_stieltjes(monkeypatch, z, n_max, mat):
 @pytest.mark.parametrize("model", [Model.BALANCED, Model.CORRELATED])
 def test_stieltjes_commutes_with_ket_bra_swap(model):
     """s(z) = J s(z) J within the split's tolerance, J the ket-bra swap (the
-    Hermiticity of rho), over the edges of the validated domain."""
+    Hermiticity of rho), and s(z) = Pi s(z) Pi^T bit for bit, Pi the reflection
+    (a < 0 blocks are gathered from their images, a = 0 blocks averaged with
+    theirs), over the edges of the validated domain."""
     j, fixed, pairs = _ket_bra_swap(20)
     assert list(fixed) == [4 * cross_basis(20).index((0, 0)) + pair for pair in (0, 3)]
     assert len(pairs) == 81
@@ -483,14 +512,15 @@ def test_stieltjes_commutes_with_ket_bra_swap(model):
                 mat = stieltjes_matrix(kraus_family(WalkParams(theta, p, model)), z, 20).matrix
                 asymmetry = np.max(np.abs(mat - mat[np.ix_(j, j)]))
                 assert asymmetry <= genfun._SWAP_TOL * np.max(np.abs(mat))
+                assert np.array_equal(mat, _reflected(mat, 20))
 
 
 @pytest.mark.parametrize("model", [Model.BALANCED, Model.CORRELATED])
 def test_split_renewal_matches_full_inverse(model):
-    """R~ from the two half-size blocks is within 1e-12 of R~ read from a plain
+    """R~ from the four (J, Pi) blocks is within 1e-12 of R~ read from a plain
     164 x 164 inverse, and |s|_1 |s^-1|_1 from the blocks within 1e-9 of the
-    plain kappa_1. At theta = 1.1, p = 0, z = Z_CAP, where s(z) is least
-    J-symmetric, blocks taken from s(z) without the J-average miss by 1.3e-12."""
+    plain kappa_1. theta = 1.1, p = 0, z = Z_CAP is where s(z) is least
+    J-symmetric: the blocks are those of its group average."""
     for theta in (0.0, math.pi / 4, 1.1, math.pi / 2):
         for p in (0.0, 0.35, 1.0):
             for z in (0.5, Z_CAP):
@@ -509,19 +539,20 @@ def test_split_renewal_matches_full_inverse(model):
 @pytest.mark.parametrize("rotated", [False, True])
 def test_condition_guard_is_never_looser_than_kappa_2(monkeypatch, rotated):
     """The guard reads dim * kappa_1 >= kappa_2, so an s(z) with kappa_2 = 2e14 is
-    refused; at kappa_2 = 1e3 the split gives the value of a plain solve, within
-    1e-15 for diagonal s(z) and kappa_2 eps |R~| for Q U diag(sigma) V^T Q^T with
-    random orthogonal U and V, block diagonal in the J eigenbasis Q. Both commute
-    with the ket-bra swap J, as every s(z) does."""
+    refused; at kappa_2 = 1e3 the blocks give the value of a plain solve, within
+    1e-15 for diagonal s(z), equal on each orbit of {1, Pi, J, J Pi}, and
+    kappa_2 eps |R~| for Q U diag(sigma) V^T Q^T with random orthogonal U and V,
+    block diagonal in the joint (J, Pi) eigenbasis Q. Both commute with the
+    ket-bra swap J and the reflection Pi, as every s(z) does."""
     n_max, z = 4, 0.5
-    j, fixed, pairs = _ket_bra_swap(n_max)
-    q, n_even = _swap_eigenbasis(n_max)
+    j = _ket_bra_swap(n_max)[0]
+    q, sizes, orbits = _joint_eigenbasis(n_max)
     dim = len(j)
     rng = np.random.default_rng(11)
 
     def block_orthogonal():
         m = np.zeros((dim, dim))
-        for lo, hi in ((0, n_even), (n_even, dim)):
+        for lo, hi in zip(np.cumsum([0] + sizes[:-1]), np.cumsum(sizes)):
             m[lo:hi, lo:hi] = np.linalg.qr(rng.standard_normal((hi - lo, hi - lo)))[0]
         return m
 
@@ -532,13 +563,12 @@ def test_condition_guard_is_never_looser_than_kappa_2(monkeypatch, rotated):
             sigma = np.diag(np.geomspace(1.0, 1.0 / kappa, dim))
             mat = q @ u @ sigma @ v.T @ q.T
         else:
-            orbits = np.geomspace(1.0, 1.0 / kappa, n_even)
             diag = np.empty(dim)
-            diag[fixed] = orbits[: len(fixed)]
-            for value, (i, ji) in zip(orbits[len(fixed):], pairs):
-                diag[[i, ji]] = value
+            for value, orbit in zip(np.geomspace(1.0, 1.0 / kappa, len(orbits)), orbits):
+                diag[orbit] = value
             mat = np.diag(diag)
         assert np.max(np.abs(mat - mat[np.ix_(j, j)])) <= 1e-15
+        assert np.max(np.abs(mat - _reflected(mat, n_max))) <= 1e-15
         assert np.linalg.cond(mat) == pytest.approx(kappa, rel=1e-2)
         return _inject_stieltjes(monkeypatch, z, n_max, mat)
 
@@ -576,6 +606,57 @@ def test_non_swap_symmetric_stieltjes_is_refused(monkeypatch):
                 recurrence_estimate(params, z, n_max, 64)
     point = z_sweep(params, [z], n_max, 64)[0]
     assert math.isnan(point.value) and point.error.startswith("ConsistencyError")
+
+
+def test_non_reflection_symmetric_stieltjes_is_refused(monkeypatch):
+    """An s(z) that commutes with J but not with the reflection Pi is a
+    ConsistencyError, not a silently wrong four-block split: a diagonal s(z)
+    equal on each pair {i, J i} and distinct across Pi images, and the identity
+    with one entry and its J image moved by 1e-6; moved by 1e-13 it is solved."""
+    n_max, z = 4, 0.5
+    j, fixed, pairs = _ket_bra_swap(n_max)
+    dim = len(j)
+    params = WalkParams(0.6, 0.3)
+    diag = np.empty(dim)
+    for value, orbit in zip(np.geomspace(1.0, 1e-3, dim), [[i] for i in fixed] + pairs):
+        diag[list(orbit)] = value
+    mat = np.diag(diag)
+    assert np.array_equal(mat, mat[np.ix_(j, j)])
+    _inject_stieltjes(monkeypatch, z, n_max, mat)
+    with pytest.raises(ConsistencyError, match="reflection"):
+        recurrence_estimate(params, z, n_max, 64)
+    origin = 4 * cross_basis(n_max).index((0, 0))
+    i, k = origin + 1, 4 * cross_basis(n_max).index((2, 0))  # e_(R,L) at the origin and (2, 0)
+    for shift in (1e-13, 1e-6):
+        mat = np.eye(dim)
+        mat[i, k] += shift
+        mat[j[i], j[k]] += shift
+        assert np.array_equal(mat, mat[np.ix_(j, j)])
+        _inject_stieltjes(monkeypatch, z, n_max, mat)
+        if shift < genfun._SWAP_TOL:
+            assert recurrence_estimate(params, z, n_max, 64) == pytest.approx(0.0, abs=1e-12)
+        else:
+            with pytest.raises(ConsistencyError, match="reflection"):
+                recurrence_estimate(params, z, n_max, 64)
+    point = z_sweep(params, [z], n_max, 64)[0]
+    assert math.isnan(point.value) and point.error.startswith("ConsistencyError")
+
+
+def test_default_tables_fold_131_blocks_and_split_four_ways():
+    """At n_max = 20 s(z) reads 251 blocks (a, n) of the 462 with |a|, n <= 20,
+    a = n (mod 2); the 131 with a >= 0 are folded, the rest are gathered from
+    their reflection images. The renewal's four (J, Pi) blocks have 41, 42, 41
+    and 40 rows (164 in all), one per orbit representative they hold."""
+    tables = genfun._tables(20, genfun.DEFAULT_GRID)
+    n_zero = 11  # a = 0, 2, .., 20 against H0
+    assert tables.fold.count == 131
+    runs = tables.fold.groups
+    assert sum((stop - start + 1) // 2 for _, start, stop, _ in runs) == 131 - n_zero
+    assert list(tables.scale.shape) == [4, 42, 42]
+    held = [42 - int(np.trace(pad)) for pad in tables.pad]
+    assert held == [41, 42, 41, 40]
+    _, sizes, orbits = _joint_eigenbasis(20)
+    assert sizes == held and len(orbits) == 42
 
 
 @pytest.mark.parametrize("p", [0.0, 0.35])
@@ -626,6 +707,59 @@ def test_rank_two_cross_blocks_are_unsupported(monkeypatch):
             route(fam, 0.5, 4, grid_n=64)
     info = _laurent_blocks.cache_info()
     assert info.currsize == 0 and info.hits == 0 and info.misses == 3
+
+
+def test_family_without_reflection_symmetry_is_unsupported(monkeypatch):
+    """The a >= 0 fold and the four-block renewal need the reflection Pi. A real,
+    trace-preserving family with biased classical weights, 0.35 right and 0.15
+    left beside S(C(0.9) x I) at weight 0.5 (no library constructor builds it),
+    misses it, so every genfun route refuses it before any work and keeps
+    nothing in the Laurent block cache; the direct simulation still runs it."""
+
+    def no_work(*_args, **_kwargs):
+        raise AssertionError("xi tables or eta coefficients computed for a biased family")
+
+    for stage in ("_tables", "_eta_parts"):
+        monkeypatch.setattr(genfun, stage, no_work)
+    _laurent_blocks.cache_clear()
+    right = TranslationKraus(((math.sqrt(0.35) * np.eye(2), 1),))
+    left = TranslationKraus(((math.sqrt(0.15) * np.eye(2), -1),))
+    fam = TranslationKrausFamily((_coined_operator(coin_matrix(0.9), 0.5), right, left))
+    assert fam.is_real and fam.completeness_defect(np.linspace(0, 2 * np.pi, 9)) < 1e-12
+    monkeypatch.setattr(genfun, "kraus_family", lambda _params: fam)
+    for route in (fourier_blocks, stieltjes_matrix):
+        with pytest.raises(UnsupportedFamilyError, match="reflection"):
+            route(fam, 0.5, 4, grid_n=64)
+    with pytest.raises(UnsupportedFamilyError, match="reflection"):
+        recurrence_estimate(WalkParams(0.9, 0.5), 0.5, 4, 64)
+    assert _laurent_blocks.cache_info().currsize == 0
+    monkeypatch.setattr(directsim, "kraus_family", lambda _params: fam)
+    series = return_series(WalkParams(0.9, 0.5), 30)
+    assert np.all(np.diff(series.survival) <= 1e-14) and series.survival[-1] < 1.0
+
+
+def test_tables_over_the_memory_cap_are_refused(monkeypatch):
+    """_table_bytes bounds the traced peak of building the tables, and a
+    truncation whose tables would pass directsim.DEFAULT_MEMORY_CAP is a
+    ResourceError before they are built; n_max = 30 at grid 4096, the
+    truncation of the benchmark's references, fits under the real cap."""
+    genfun._tables.cache_clear()
+    for n_max in (20, 50):
+        tracemalloc.start()
+        try:
+            genfun._tables(n_max, genfun.DEFAULT_GRID)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= genfun._table_bytes(n_max, genfun.DEFAULT_GRID)
+    assert genfun._table_bytes(30, 4096) <= directsim.DEFAULT_MEMORY_CAP
+    genfun._tables(30, 4096)
+    genfun._tables.cache_clear()
+    monkeypatch.setattr(directsim, "DEFAULT_MEMORY_CAP", genfun._table_bytes(50, 384) - 1)
+    genfun._tables(48, 384)
+    for _ in range(2):
+        with pytest.raises(ResourceError, match="n_max=50"):
+            recurrence_estimate(WalkParams(math.pi / 4, 0.35), 0.5, 50)
 
 
 @pytest.mark.parametrize("grid_n", [128, genfun.DEFAULT_GRID, 2048, 4096])
