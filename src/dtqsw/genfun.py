@@ -60,24 +60,29 @@ with Pi. At offsets (d1, d2) the cross basis reads harmonic a = (d1 + d2)/2
 |a| + n <= n_max or |a| = n: 251 blocks at n_max = 20. The 131 with a >= 0
 are folded as [Re Y, Im Y] @ [Re H; -Im H], with rows 2 w exp(i a xi) b^(n-1)
 (one real matmul for H1, one for H0 - I), and the a < 0 blocks are gathered
-from their Pi images with signs. The a = 0 blocks are averaged with their images, so s(z) commutes
-with Pi bit for bit. The node phases, the phase rows, the fold runs and the
-signed index that gathers s(z) are cached per (n_max, grid_n).
+from their Pi images with signs. The a = 0 blocks are averaged with their
+images, so s(z) commutes with Pi bit for bit. s(z) is the signed fold
+[F, -F] (2 x 2096 values at n_max = 20) with a signed index into it. The
+node phases and rows, the fold runs, the index and the renewal's tables for
+it are cached per (n_max, grid_n).
 
 s(z) also commutes with the ket-bra swap J : (x, m, c, c') -> (m, x, c', c),
 the Hermiticity of rho (for real Kraus operators the map commutes with the
 transpose of rho), and J commutes with Pi. On the joint (J, Pi) eigenvectors
 s(z) splits into four blocks, 41, 42, 41 and 40 rows at n_max = 20, one per
 orbit representative of the group {1, Pi, J, J Pi} that each holds. The
-renewal refuses with ConsistencyError an s(z) that differs from J s(z) J,
-then from Pi s(z) Pi^T, by more than 1e-9 of its largest entry (rounding
-leaves under 1e-11), and inverts the four blocks of the group average of
-s(z) in one call on a stack padded with the identity. The source
-e_(R,R,0,0) is half in the (J+, Pi+) block, which holds
-(e_(R,R) + e_(L,L)) / sqrt 2, so w comes from that block, and the exact
-kappa_1 = |s|_1 |s^-1|_1 is read from the four inverses in O(dim^2). The
-guard refuses dim kappa_1 > 1e14: |A|_2 <= sqrt(dim) |A|_1, so
-kappa_2 <= dim kappa_1, and it refuses every s(z) a kappa_2 limit would.
+renewal reads the fold, not the dense s(z). It refuses with ConsistencyError
+an s(z) that differs from J s(z) J, then from Pi s(z) Pi^T, by more than
+1e-9 of max |F| (rounding leaves under 1e-11), over the fold pairs that the
+difference compares: 132 in the n = 0 blocks for J, 136 in the a = 0 blocks
+for Pi. It inverts the four blocks of the group average, one signed gather
+(4 x 42 x 42) of the orbit sums of the fold values of s(z) - I, in one call
+on a stack padded with the identity. The source e_(R,R,0,0) is half in the
+(J+, Pi+) block, which holds (e_(R,R) + e_(L,L)) / sqrt 2, so w comes from
+that block, and the exact kappa_1 = |s|_1 |s^-1|_1 is read from the four
+inverses in O(dim^2). The guard refuses dim kappa_1 > 1e14: |A|_2 <=
+sqrt(dim) |A|_1, so kappa_2 <= dim kappa_1, and it refuses every s(z) a
+kappa_2 limit would.
 """
 
 from __future__ import annotations
@@ -339,28 +344,92 @@ def _fold_pairs(n_max, keep):
     return fold, row_of
 
 
+class _Renewal(NamedTuple):
+    """The renewal's tables for one signed index of s(z) into values = [F, -F]."""
+
+    swap: np.ndarray  # (2, m): the value pairs (p, q) that s - J s J compares, p != q
+    reflect: np.ndarray  # (2, m): and those that s - Pi s Pi^T compares
+    orbit: np.ndarray  # (4, M): signed values of g e, g = 1, Pi, J, J Pi, per orbit sum
+    unit: np.ndarray  # (4, M): the entries of I at them
+    gather: np.ndarray  # (k, r, o): the orbit sum of entry e = (r, k o)
+    scale: np.ndarray  # (c, r, o): 1 / (4 |fix o|) where block c holds r and o, else 0
+    pad: np.ndarray  # (c, r, r): 1 where block c does not hold r
+    fix: np.ndarray  # |fix r|, the group elements that fix representative r
+
+
+def _renewal_tables(index, n):
+    """The _Renewal of s = values[index], values = [F, -F] of length 2 n: J (x, m,
+    c, c') -> (m, x, c', c) and Pi (x, m, c) -> (-x, -m, sigma_c e_(k c)) act on
+    the entries of s. Orbit representatives r come with the origin's e_(R,R)
+    first, then its e_(R,L); block c = 2 c_J + c_Pi holds r when every element
+    that fixes r acts on e_r by chi_c."""
+    positions = cross_basis((len(index) // 4 - 1) // 2)
+    where = {point: i for i, point in enumerate(positions)}
+    dim = 4 * len(positions)
+    swap = (4 * np.array([where[m, x] for x, m in positions])[:, None] + _SWAP).ravel()
+    reflect = (4 * np.array([where[-x, -m] for x, m in positions])[:, None] + _REFLECT).ravel()
+    sign = np.tile(_REFLECT_SIGN, len(positions))
+    # element 2 j + pi is J^j Pi^pi: e_i -> sign e_perm(i); the group law is XOR
+    perm = np.stack([np.arange(dim), reflect, swap, swap[reflect]])
+    signs = np.stack([np.ones(dim), sign, np.ones(dim), sign])
+
+    def image(g, rows, cols, negative=False):  # the signed values at (g rows, g cols)
+        at = index[perm[g, rows], perm[g, cols]]
+        flip = negative ^ (signs[g, rows] < 0) ^ (signs[g, cols] < 0)
+        np.add(at, n, out=at, where=flip)
+        return np.remainder(at, 2 * n, out=at)
+
+    def pairs(q):  # (p, q), p < n, per distinct |v_p - v_q| of an entry and its image
+        key = index % n
+        negative = (index >= n) ^ (q >= n)
+        q %= n
+        keep = (key != q) | negative
+        key *= 2 * n
+        key += q
+        np.add(key, n, out=key, where=negative)
+        # with return_index: a plain np.unique imports numpy.ma, 11 ms in a fresh process
+        return np.stack(divmod(np.unique(key[keep], return_index=True)[0], 2 * n))
+
+    every = np.arange(dim)
+    swaps, reflects = (pairs(image(g, every[:, None], every)) for g in (2, 1))
+    # the least index of each orbit, the origin's e_(R,R) and e_(R,L) first
+    origin, least = 4 * where[0, 0], np.flatnonzero(perm.min(axis=0) == every)
+    reps = np.concatenate([[origin, origin + 1], least[(least != origin) & (least != origin + 1)]])
+    image_of, image_sign = perm[:, reps], signs[:, reps]  # (g, r)
+    fixed = image_of == reps
+    held = np.all(~fixed | (_CHARACTERS[:, :, None] * image_sign == 1), axis=1)  # (c, r)
+    # e = (r, k o) with the sign of k o. The fold's index maps an entry's orbit to its value's
+    # and reads the diagonal's values nowhere else: one orbit sum of s - I per value of e
+    entries = image(0, reps[:, None], image_of[:, None, :], image_sign[:, None, :] < 0)
+    _, first, gather = np.unique(entries, return_index=True, return_inverse=True)
+    k, r, o = np.unravel_index(first, entries.shape)
+    orbit = np.stack([image(g, reps[r], image_of[k, o], image_sign[k, o] < 0) for g in range(4)])
+    diagonal = index.diagonal()
+    unit = np.isin(orbit, diagonal) - np.isin(orbit, (diagonal + n) % (2 * n)).astype(float)
+    fix = fixed.sum(axis=0).astype(float)
+    scale = np.where(held[:, :, None] & held[:, None, :], 1 / (4 * fix), 0.0)
+    pad = np.eye(len(reps)) * ~held[:, None, :]
+    return _Renewal(swaps, reflects, orbit, unit, gather.reshape(entries.shape), scale, pad, fix)
+
+
 class _Tables(NamedTuple):
     phase: np.ndarray  # exp(-i xi) at the first-half nodes
     phases: np.ndarray  # 2 w exp(i a xi), a = 0 .. n_max
     fold: _Fold  # the blocks s(z) reads with a >= 0
     index: np.ndarray  # s(z) in [F, -F]
-    orbits: np.ndarray  # (k, j, pi, r, o) -> flat index in s of (g r, g k o), g = J^j Pi^pi
-    sign: np.ndarray  # sigma(r), the sign of Pi on representative r: Pi e_r = sigma(r) e_(Pi r)
-    scale: np.ndarray  # (c, r, o): 1 / (4 |fix o|) where block c holds r and o, else 0
-    pad: np.ndarray  # (c, r, r): 1 where block c does not hold r
-    fix: np.ndarray  # |fix r|, the group elements that fix representative r
-    diagonal: tuple  # per k: the entries of orbits[k] on the diagonal of s, and their signs
+    renewal: _Renewal  # the renewal's tables for index
 
 
 def _table_bytes(n_max, grid_n):
     """Peak bytes of _tables(n_max, grid_n), the figure its ResourceError guards:
     32 (dim + 4)^2 + 24 (n_max + 1) grid_n + 1 MiB, dim = 4 (2 n_max + 1).
 
-    The signed index of s(z) and the renewal's orbit gather are about dim^2
-    int64 each (dim is the size of s(z)), and building them holds about two
-    more; the xi rows, with their temporaries, are about three (n_max + 1) x
-    grid_n / 2 complex arrays. Traced peaks at grid 384 are 31 dim^2 from
-    n_max = 100 on (309 MB at n_max = 400, 0.93 of the figure).
+    The signed index of s(z) is dim^2 int64 (dim is the size of s(z)), and
+    building it, or the fold pairs of one symmetry check, holds about three
+    more; the renewal's gather, orbit sums, scales and pads are dim^2 / 4
+    entries each, and the xi rows about three (n_max + 1) x grid_n / 2 complex
+    arrays. Traced peaks at grid 384 are 30 dim^2 from n_max = 100 on (306 MB
+    at n_max = 400, 0.92 of the figure).
     """
     dim = 4 * (2 * n_max + 1)
     return 32 * (dim + 4) ** 2 + 24 * (n_max + 1) * max(grid_n, 0) + (1 << 20)
@@ -370,13 +439,8 @@ def _table_bytes(n_max, grid_n):
 def _tables(n_max, grid_n):
     """Node phases exp(-i xi) of the first half and rows 2 w exp(i a xi) for
     a = 0 .. n_max; the _Fold of the 131 blocks (a, n), a >= 0, that s(z)
-    reads at n_max = 20 and the signed index of s(z) in [F, -F]; and the
-    renewal's gather of s(z) over the orbits of the group {1, Pi, J, J Pi}
-    (J the ket-bra swap, Pi the reflection), with the block scales.
-
-    Orbit representatives r come with the origin's e_(R,R) first, then its
-    e_(R,L). Block c = 2 c_J + c_Pi holds r when every element that fixes r
-    acts on e_r by chi_c. ParameterError for an odd or < 2 n_max and a grid_n
+    reads at n_max = 20, the signed index of s(z) in [F, -F], and its
+    _Renewal. ParameterError for an odd or < 2 n_max and a grid_n
     _subst_grid refuses; ResourceError when _table_bytes exceeds
     directsim.DEFAULT_MEMORY_CAP.
     """
@@ -397,40 +461,8 @@ def _tables(n_max, grid_n):
     positions = cross_basis(n_max)
     d1, d2 = (np.array(positions)[:, None] - np.array(positions)[None, :]).transpose(2, 0, 1)
     index = _block_index(d1, d2, row_of).transpose(0, 2, 1, 3).reshape(4 * len(positions), -1)
-    # J: (x, m, c, c') -> (m, x, c', c); Pi: (x, m, c) -> (-x, -m, sigma_c e_(k c))
-    where = {point: i for i, point in enumerate(positions)}
-    dim = 4 * len(positions)
-    swap = (4 * np.array([where[m, x] for x, m in positions])[:, None] + _SWAP).ravel()
-    reflect = (4 * np.array([where[-x, -m] for x, m in positions])[:, None] + _REFLECT).ravel()
-    sign = np.tile(_REFLECT_SIGN, len(positions))
-    # element 2 j + pi is J^j Pi^pi: e_i -> sign e_perm(i); the group law is XOR
-    perm = np.stack([np.arange(dim), reflect, swap, swap[reflect]])
-    signs = np.stack([np.ones(dim), sign, np.ones(dim), sign])
-    origin, seen, reps = 4 * where[0, 0], np.zeros(dim, dtype=bool), []
-    for i in (origin, origin + 1, *range(dim)):
-        if not seen[i]:
-            reps.append(i)
-            seen[perm[:, i]] = True
-    image, image_sign = perm[:, reps], signs[:, reps]  # (g, r)
-    fixed = image == np.array(reps)
-    held = np.all(~fixed | (_CHARACTERS[:, :, None] * image_sign == 1), axis=1)  # (c, r)
-    g = np.arange(4)
-    product = g[:, None] ^ g  # (k, h) -> h k
-    shape = (4, 2, 2, len(reps), len(reps))
-    orbits = (dim * image[None, :, :, None] + image[product][:, :, None]).reshape(shape)
-    orbit_signs = (image_sign[None, :, :, None] * image_sign[product][:, :, None]).reshape(shape)
-    diagonal = []
-    for part, part_signs in zip(orbits, orbit_signs):
-        on = np.flatnonzero(part % (dim + 1) == 0)
-        diagonal.append((on, part_signs.ravel()[on]))
-    fix = fixed.sum(axis=0).astype(float)
-    both = held[:, :, None] & held[:, None, :]
-    scale = np.where(both, 1 / (4 * fix), 0.0)
-    pad = np.eye(len(reps)) * ~held[:, None, :]
-    tables = _Tables(
-        phase, phases, fold, index, orbits, image_sign[1], scale, pad, fix, tuple(diagonal)
-    )
-    for table in (*tables[:2], *tables[2][2:], *tables[3:-1], *sum(diagonal, ())):
+    tables = _Tables(phase, phases, fold, index, _renewal_tables(index, 16 * fold.count))
+    for table in (*tables[:2], *tables[2][2:], index, *tables.renewal):
         table.flags.writeable = False
     return tables
 
@@ -514,16 +546,21 @@ def cross_basis(n_max: int) -> list:
 
 @dataclass
 class StieltjesMatrix:
-    """s(z) restricted to the even cross subspace, coin pairs innermost."""
+    """s(z) = values[index] on the even cross subspace, coin pairs innermost."""
 
     z: float
     n_max: int
     positions: list  # (x, m) cross points; basis index = 4*pos + (2c + c')
-    matrix: np.ndarray
+    values: np.ndarray  # [F, -F], F the flat xi fold
+    index: np.ndarray  # (dim, dim) signed index into values
+
+    @property
+    def matrix(self) -> np.ndarray:  # gathered on each read
+        return self.values[self.index]
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return len(self.index)
 
     def basis_index(self, coin_pair: int, x: int, m: int) -> int:
         return 4 * self.positions.index((x, m)) + coin_pair
@@ -532,11 +569,11 @@ class StieltjesMatrix:
 def stieltjes_matrix(
     family: TranslationKrausFamily, z: float, n_max: int, grid_n: int = DEFAULT_GRID
 ) -> StieltjesMatrix:
-    """Assemble the real s(z) over the even cross basis: one signed gather from the xi fold."""
+    """The real s(z) over the even cross basis: the xi fold and its signed index."""
     z, blocks = _check_z(z), _laurent_blocks(family)  # refuses a family before any work
     tables = _tables(n_max, grid_n)
-    mat = _fold(blocks, z, tables, tables.fold)[tables.index]
-    return StieltjesMatrix(z=z, n_max=n_max, positions=cross_basis(n_max), matrix=mat)
+    values = _fold(blocks, z, tables, tables.fold)
+    return StieltjesMatrix(z, n_max, cross_basis(n_max), values, tables.index)
 
 
 def _orbit_norms(blocks, fix):
@@ -550,50 +587,42 @@ def _orbit_norms(blocks, fix):
     return np.max(columns * fix / 4, axis=1)
 
 
-def _split_renewal(matrix, tables):
+def _split_renewal(values, index, tables):
     """(1 - w_(R,R,0,0) - w_(L,L,0,0), kappa_1) with w = s^-1 e_(R,R,0,0), from
-    the four (J, Pi) blocks of s = matrix; tables are _tables' for its truncation.
+    the four (J, Pi) blocks of s = values[index]; tables are _tables' for its
+    truncation, whose _Renewal serves their own index (any other is derived).
 
-    J and Pi commute, and each of the 41, 42, 41 and 40 rows of the blocks
-    at n_max = 20 is an orbit representative r. A ConsistencyError is raised
-    if s differs from J s J, then from Pi s Pi^T, by more than _SWAP_TOL of
-    its largest entry: the orbit gather holds every entry of s. In its place s
-    is the group average, whose block c is 1/(4 |fix o|) sum_(g, k) chi_c(k)
-    sign s[g r, g k o] in the coordinates v[r]; the inverse is one
-    np.linalg.inv on the stack, each block padded with the identity. The
-    (J+, Pi+) block holds (e_(R,R) + e_(L,L)) / sqrt 2 at the origin, so w is
-    its inverse's first entry; the blocks are summed from s - I, and
-    1 - w = [(s - I) s^-1]_00, so that at small z, where s - I is O(z), the
-    rounding stays relative to s - I. kappa_1 is exact (_orbit_norms).
+    Each of the 41, 42, 41 and 40 rows of the blocks at n_max = 20 is an orbit
+    representative r. A ConsistencyError is raised if s differs from J s J,
+    then from Pi s Pi^T, by more than _SWAP_TOL of max |values|, read on the
+    value pairs that each difference compares. In its place s is the group
+    average, whose block c is 1/(4 |fix o|) sum_k chi_c(k) O(r, k o) in the
+    coordinates v[r], O(e) = sum_g sign (s - I)[g e] the orbit sum of entry e,
+    formed once per value and gathered. The inverse is one np.linalg.inv on
+    the stack, each block padded with the identity. The (J+, Pi+) block holds
+    (e_(R,R) + e_(L,L)) / sqrt 2 at the origin, so w is its inverse's first
+    entry; the blocks are summed from s - I, and 1 - w = [(s - I) s^-1]_00,
+    so that at small z, where s - I is O(z), the rounding stays relative to
+    s - I. kappa_1 is exact (_orbit_norms).
     """
-    peak = max(matrix.max(), -matrix.min())
-    reps = len(tables.fix)
-    asymmetry, sums = np.zeros((4, 2)), np.empty((4, reps * reps))
-    # one k at a time, a quarter of s: t[j, pi, r, o] = sign s[g r, g k o], g = J^j Pi^pi,
-    # where J is unsigned and sign = sigma(r)^pi sigma(o)^(pi + k_pi), k = 2 k_j + k_pi
-    sigma = tables.sign
-    for k, (index, (diagonal, unit)) in enumerate(zip(tables.orbits, tables.diagonal)):
-        t = np.take(matrix, index)
-        if k % 2:
-            t[:, 0] *= sigma
-            t[:, 1] *= sigma[:, None]
-        else:
-            t[:, 1] *= sigma[:, None] * sigma
-        for i, difference in enumerate((t[0] - t[1], t[:, 0] - t[:, 1])):
-            asymmetry[k, i] = np.max(np.abs(difference, out=difference))
-        t.reshape(-1)[diagonal] -= unit
-        np.add(t[0, 0] + t[0, 1], t[1, 0] + t[1, 1], out=sums[k].reshape(reps, reps))
-    for value, what in zip(asymmetry.max(axis=0), ("ket-bra swap: |s - JsJ|",
-                                                   "reflection: |s - Pi s Pi^T|")):
+    renewal = tables.renewal if index is tables.index else _renewal_tables(index, len(values) // 2)
+    peak = values.max()
+    for pairs, what in ((renewal.swap, "ket-bra swap: |s - JsJ|"),
+                        (renewal.reflect, "reflection: |s - Pi s Pi^T|")):
+        pair = values[pairs]
+        value = np.max(np.abs(pair[0] - pair[1]), initial=0.0)
         if value > _SWAP_TOL * peak:
             raise ConsistencyError(f"s(z) is not symmetric under the {what} = {value:.3e}")
-    # block c of s - I sums chi_c(k) t over k and g
-    blocks = (_CHARACTERS @ sums).reshape(4, reps, reps) * tables.scale
-    system = blocks + np.eye(reps)
+    terms = values[renewal.orbit]
+    terms -= renewal.unit
+    sums = ((terms[0] + terms[1]) + (terms[2] + terms[3]))[renewal.gather]
+    # block c of s - I sums chi_c(k) O(r, k o) over k
+    blocks = (_CHARACTERS @ sums.reshape(4, -1)).reshape(sums.shape) * renewal.scale
+    system = blocks + np.eye(len(renewal.fix))
     both = np.stack([system, np.linalg.inv(system)])
     q = blocks[0, 0] @ both[1, 0, :, 0]
-    both -= tables.pad
-    norms = _orbit_norms(both, tables.fix)
+    both -= renewal.pad
+    norms = _orbit_norms(both, renewal.fix)
     return q, norms[0] * norms[1]
 
 
@@ -606,15 +635,16 @@ def recurrence_estimate(
     """R~_z from the renewal equation, traced against rho0 = |R,0><R,0|.
 
     w = s(z)^-1 e_(R,R,0,0), solved in the (J+, Pi+) block of s(z), gives
-    (1 - w_(R,R,0,0) - w_(L,L,0,0)) / z. The initial coin choice is WLOG
-    by coin-state independence. OutOfValidatedRangeError below Z_MIN.
+    (1 - w_(R,R,0,0) - w_(L,L,0,0)) / z, the blocks built from the xi fold
+    without gathering s(z). The initial coin choice is WLOG by coin-state
+    independence. OutOfValidatedRangeError below Z_MIN.
     """
     z = _check_z(z)
     if z < Z_MIN:
         raise OutOfValidatedRangeError(f"z={z} is below the validated floor {Z_MIN}")
     s = stieltjes_matrix(kraus_family(params), z, n_max, grid_n)
     try:
-        q, kappa_1 = _split_renewal(s.matrix, _tables(n_max, grid_n))
+        q, kappa_1 = _split_renewal(s.values, s.index, _tables(n_max, grid_n))
     except np.linalg.LinAlgError as exc:
         raise ConditioningError(f"inverse failed at z={z}, n_max={n_max}: {exc}") from exc
     # kappa_2 <= dim kappa_1, so this refuses every s(z) with kappa_2 above the limit (and NaN)

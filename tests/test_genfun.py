@@ -489,12 +489,15 @@ def _joint_eigenbasis(n_max):
     return np.hstack(columns), sizes, [sorted(orbit) for orbit in orbits]
 
 
+def _dense_stieltjes(z, n_max, mat):
+    """A dense s(z) as a StieltjesMatrix: values [s, -s] and the identity index."""
+    values, index = np.concatenate([mat.ravel(), -mat.ravel()]), np.arange(mat.size)
+    return StieltjesMatrix(z, n_max, cross_basis(n_max), values, index.reshape(mat.shape))
+
+
 def _inject_stieltjes(monkeypatch, z, n_max, mat):
-    positions = cross_basis(n_max)
-    monkeypatch.setattr(
-        genfun, "stieltjes_matrix", lambda *_args: StieltjesMatrix(z, n_max, positions, mat),
-    )
-    return StieltjesMatrix(z, n_max, positions, mat)
+    monkeypatch.setattr(genfun, "stieltjes_matrix", lambda *_args: _dense_stieltjes(z, n_max, mat))
+    return _dense_stieltjes(z, n_max, mat)
 
 
 @pytest.mark.parametrize("model", [Model.BALANCED, Model.CORRELATED])
@@ -531,7 +534,7 @@ def test_split_renewal_matches_full_inverse(model):
                 plain = (1.0 - inv[i_rr, i_rr] - inv[i_ll, i_rr]) / z
                 assert abs(recurrence_estimate(params, z) - plain) <= 1e-12
                 tables = genfun._tables(20, genfun.DEFAULT_GRID)
-                _, kappa_1 = genfun._split_renewal(s.matrix, tables)
+                _, kappa_1 = genfun._split_renewal(s.values, s.index, tables)
                 plain = np.linalg.norm(s.matrix, 1) * np.linalg.norm(inv, 1)
                 assert kappa_1 == pytest.approx(plain, rel=1e-9)
 
@@ -652,11 +655,54 @@ def test_default_tables_fold_131_blocks_and_split_four_ways():
     assert tables.fold.count == 131
     runs = tables.fold.groups
     assert sum((stop - start + 1) // 2 for _, start, stop, _ in runs) == 131 - n_zero
-    assert list(tables.scale.shape) == [4, 42, 42]
-    held = [42 - int(np.trace(pad)) for pad in tables.pad]
+    assert list(tables.renewal.scale.shape) == [4, 42, 42]
+    held = [42 - int(np.trace(pad)) for pad in tables.renewal.pad]
     assert held == [41, 42, 41, 40]
     _, sizes, orbits = _joint_eigenbasis(20)
     assert sizes == held and len(orbits) == 42
+
+
+@pytest.mark.parametrize("model", [Model.BALANCED, Model.CORRELATED])
+def test_fold_pair_checks_equal_the_dense_checks(model):
+    """The renewal checks J and Pi on the pairs of distinct fold values that
+    s - J s J and s - Pi s Pi^T compare (132 and 136 ordered pairs at
+    n_max = 20), and takes the peak as max |F|: all three equal the maxima
+    read from the dense s(z), and the renewal of the fold equals, bit for
+    bit, the renewal of the dense s(z) (values [s, -s], identity index)."""
+    tables = genfun._tables(20, genfun.DEFAULT_GRID)
+    renewal = tables.renewal
+    assert renewal.swap.shape == (2, 132) and renewal.reflect.shape == (2, 136)
+    j = _ket_bra_swap(20)[0]
+    for theta in (0.0, 0.3, math.pi / 4, 1.1, math.pi / 2):
+        for p in (0.0, 0.35, 1.0):
+            for z in (0.05, 0.5, 0.999, Z_CAP):
+                s = stieltjes_matrix(kraus_family(WalkParams(theta, p, model)), z, 20)
+                mat = s.matrix
+                for pairs, dense in ((renewal.swap, mat[np.ix_(j, j)]),
+                                     (renewal.reflect, _reflected(mat, 20))):
+                    pair = s.values[pairs]
+                    assert np.max(np.abs(pair[0] - pair[1])) == np.max(np.abs(mat - dense))
+                assert s.values.max() == max(mat.max(), -mat.min())
+                dense = _dense_stieltjes(z, 20, mat)
+                assert genfun._split_renewal(s.values, s.index, tables) == genfun._split_renewal(
+                    dense.values, dense.index, tables)
+
+
+def test_warm_default_point_heap_stays_small():
+    """A warm default point's traced peak stays under 600 KiB (550 KiB when it was
+    set; 710 KiB with the dense s(z) and its orbit gather). glibc returns the top
+    of the heap to the system when its free space passes twice the largest freed
+    mmap chunk (the fold's 368 KB row block), and a point whose transient heap
+    crossed that faulted its pages back in on every call: about 10% of wall time."""
+    params = WalkParams(math.pi / 4, 0.35)
+    recurrence_estimate(params, 0.999)
+    tracemalloc.start()
+    try:
+        recurrence_estimate(params, 0.999)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 600 * 1024
 
 
 @pytest.mark.parametrize("p", [0.0, 0.35])
