@@ -1,11 +1,11 @@
 """Per-stage cost of one genfun point, and page faults per point in a recur pass.
 
-    python benchmarks/point_cost.py [--src DIR ...] [--processes 8] [--calls 60]
+    python benchmarks/point_cost.py [--src DIR ...]
 
 Each --src is a source tree holding the dtqsw package (default: this
-checkout's src/). For every tree, --processes fresh processes are started,
+checkout's src/). For every tree, PROCESSES fresh processes are started,
 alternating between the trees, each with one BLAS thread. A process times
-every stage --calls times at the default point (theta = pi/4, p = 0.35,
+every stage CALLS times at the default point (theta = pi/4, p = 0.35,
 z = 0.999, n_max = 20, grid 384) and keeps the best call; the record is the
 best over the processes, in ms:
 
@@ -15,11 +15,12 @@ best over the processes, in ms:
     renewal    genfun._split_renewal, checks, blocks, inverse and kappa_1
     point      genfun.recurrence_estimate
 
-Each process also runs the recur workload of perfbench at --seed through
-dtqsw.cli.main (one warm pass, then --passes passes) and reports the median
-wall time of a pass and the minor page faults (resource.getrusage) per
-genfun point, and the tracemalloc peak of one warm default point. The last
-stdout line is the result as JSON.
+Each process also runs perfbench's recur workload at seed SEED with
+perfbench/run.py's run_pass, one warm pass and then PASSES passes, and
+reports the median pass wall time (run_pass's, so the CSV joins and value
+checks are outside it), the minor page faults (resource.getrusage) inside
+the CLI calls per genfun point, and the tracemalloc peak of one warm
+default point. The last stdout line is the result as JSON.
 """
 
 from __future__ import annotations
@@ -32,20 +33,23 @@ import subprocess
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+PROCESSES, CALLS, SEED, PASSES = 8, 60, 5, 5
 
 
-def _child(src: str, calls: int, seed: int, passes: int) -> dict:
+def _child(src: str) -> dict:
     import math
     import resource
     import statistics
     import tempfile
     import time
     import tracemalloc
+    from types import SimpleNamespace
 
     sys.path.insert(0, src)
+    from dtqsw import WalkParams, cli, genfun, kraus_family, oracles, perturbation
+
     sys.path.insert(0, str(ROOT))
-    from dtqsw import WalkParams, cli, genfun, kraus_family
-    from perfbench import workloads
+    from perfbench import checks, run, workloads
 
     params, z, n_max = WalkParams(math.pi / 4, 0.35), 0.999, 20
     family = kraus_family(params)
@@ -53,15 +57,15 @@ def _child(src: str, calls: int, seed: int, passes: int) -> dict:
     tables = genfun._tables(n_max, genfun.DEFAULT_GRID)
     s = genfun.stieltjes_matrix(family, z, n_max)
     # trees from before the fold-indexed renewal take the dense s(z)
-    held = (s.values, s.index) if hasattr(s, "values") else (s.matrix,)
+    held = (s.values, s.renewal) if hasattr(s, "renewal") else (s.matrix, tables)
     stages = {
         "eta": lambda: genfun._eta_parts(blocks, z, tables.phase),
         "stieltjes": lambda: genfun.stieltjes_matrix(family, z, n_max),
-        "renewal": lambda: genfun._split_renewal(*held, tables),
+        "renewal": lambda: genfun._split_renewal(*held),
         "point": lambda: genfun.recurrence_estimate(params, z, n_max),
     }
     best = dict.fromkeys(stages, math.inf)
-    for _ in range(calls):
+    for _ in range(CALLS):
         for name, stage in stages.items():
             start = time.perf_counter()
             stage()
@@ -74,7 +78,7 @@ def _child(src: str, calls: int, seed: int, passes: int) -> dict:
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
 
-    points = 0
+    points = faults = 0
     estimate = genfun.recurrence_estimate
 
     def counted(*args, **kwargs):
@@ -82,27 +86,28 @@ def _child(src: str, calls: int, seed: int, passes: int) -> dict:
         points += 1
         return estimate(*args, **kwargs)
 
+    def main(argv):
+        nonlocal faults
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        try:
+            return cli.main(argv)
+        finally:
+            faults += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
     genfun.recurrence_estimate = counted
-    ops = [op for op in workloads.build("recur", seed) if op.kind != "theta_star"]
-    walls, faults = [], 0
+    refs = checks.References(ROOT / "perfbench" / "references.json")
+    ops = workloads.build("recur", SEED)
+    walls = []
     with tempfile.TemporaryDirectory() as out:
-        for i in range(passes + 1):
+        for i in range(PASSES + 1):
             if i == 1:
-                points, faults = 0, resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-            start = time.perf_counter()
-            for op in ops:
-                argv = list(op.argv) + ["--out", os.path.join(out, f"{op.name}.csv")]
-                if op.inputs:  # the recur CSVs, one header, as perfbench/run.py joins them
-                    frames = [pathlib.Path(out, f"{name}.csv").read_text().splitlines()
-                              for name in op.inputs]
-                    joined = pathlib.Path(out, f"{op.name}-input.csv")
-                    joined.write_text("\n".join(frames[0] + [
-                        line for frame in frames[1:] for line in frame[1:]]) + "\n")
-                    argv += ["--input", str(joined)]
-                if cli.main(argv) != 0:
-                    raise SystemExit(f"error: {' '.join(argv)} failed")
-            walls.append(time.perf_counter() - start)
-        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+                points = faults = 0
+            result = run.run_pass(ops, pathlib.Path(out), SimpleNamespace(main=main),
+                                  perturbation, refs, oracles)
+            values = [v for op_values in result.values.values() for v in op_values]
+            if result.failed_ops or not all(v.ok or v.known_defect for v in values):
+                raise SystemExit(f"error: a recur pass failed in {src}")
+            walls.append(result.wall)
     return {
         "stage_ms": costs,
         "point_traced_peak_kb": peak / 1024,
@@ -114,25 +119,18 @@ def _child(src: str, calls: int, seed: int, passes: int) -> dict:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", action="append", help="source tree with the dtqsw package")
-    ap.add_argument("--processes", type=int, default=8)
-    ap.add_argument("--calls", type=int, default=60)
-    ap.add_argument("--seed", type=int, default=5)
-    ap.add_argument("--passes", type=int, default=5)
     ap.add_argument("--child", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.child:
-        print(json.dumps(_child(args.child, args.calls, args.seed, args.passes)))
+        print(json.dumps(_child(args.child)))
         return 0
     trees = [str(pathlib.Path(src).resolve()) for src in args.src or [ROOT / "src"]]
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     runs = {tree: [] for tree in trees}
-    for i in range(args.processes):
+    for i in range(PROCESSES):
         for tree in trees[i % len(trees):] + trees[: i % len(trees)]:
-            out = subprocess.run(
-                [sys.executable, __file__, "--child", tree, "--calls", str(args.calls),
-                 "--seed", str(args.seed), "--passes", str(args.passes)],
-                env=env, check=True, capture_output=True, text=True,
-            ).stdout
+            out = subprocess.run([sys.executable, __file__, "--child", tree],
+                                 env=env, check=True, capture_output=True, text=True).stdout
             runs[tree].append(json.loads(out.splitlines()[-1]))
     result = {}
     for tree, records in runs.items():

@@ -63,8 +63,8 @@ are folded as [Re Y, Im Y] @ [Re H; -Im H], with rows 2 w exp(i a xi) b^(n-1)
 from their Pi images with signs. The a = 0 blocks are averaged with their
 images, so s(z) commutes with Pi bit for bit. s(z) is the signed fold
 [F, -F] (2 x 2096 values at n_max = 20) with a signed index into it. The
-node phases and rows, the fold runs, the index and the renewal's tables for
-it are cached per (n_max, grid_n).
+node phases and rows are cached per (n_max, grid_n); the fold runs, the
+index and the renewal's tables for it per n_max.
 
 s(z) also commutes with the ket-bra swap J : (x, m, c, c') -> (m, x, c', c),
 the Hermiticity of rho (for real Kraus operators the map commutes with the
@@ -379,19 +379,16 @@ def _renewal_tables(index, n):
         np.add(at, n, out=at, where=flip)
         return np.remainder(at, 2 * n, out=at)
 
-    def pairs(q):  # (p, q), p < n, per distinct |v_p - v_q| of an entry and its image
-        key = index % n
-        negative = (index >= n) ^ (q >= n)
-        q %= n
-        keep = (key != q) | negative
-        key *= 2 * n
-        key += q
-        np.add(key, n, out=key, where=negative)
+    def pairs(g):  # (p, q), p < n, per distinct |v_p - v_q| of an entry and its image
+        q = image(g, every[:, None], every)
+        differ = q != index
+        p, q = index[differ], q[differ]
+        key = (p % n) * (2 * n) + q % n + n * ((p >= n) ^ (q >= n))
         # with return_index: a plain np.unique imports numpy.ma, 11 ms in a fresh process
-        return np.stack(divmod(np.unique(key[keep], return_index=True)[0], 2 * n))
+        return np.stack(divmod(np.unique(key, return_index=True)[0], 2 * n))
 
     every = np.arange(dim)
-    swaps, reflects = (pairs(image(g, every[:, None], every)) for g in (2, 1))
+    swaps, reflects = pairs(2), pairs(1)
     # the least index of each orbit, the origin's e_(R,R) and e_(R,L) first
     origin, least = 4 * where[0, 0], np.flatnonzero(perm.min(axis=0) == every)
     reps = np.concatenate([[origin, origin + 1], least[(least != origin) & (least != origin + 1)]])
@@ -438,12 +435,9 @@ def _table_bytes(n_max, grid_n):
 @functools.lru_cache(maxsize=8)
 def _tables(n_max, grid_n):
     """Node phases exp(-i xi) of the first half and rows 2 w exp(i a xi) for
-    a = 0 .. n_max; the _Fold of the 131 blocks (a, n), a >= 0, that s(z)
-    reads at n_max = 20, the signed index of s(z) in [F, -F], and its
-    _Renewal. ParameterError for an odd or < 2 n_max and a grid_n
-    _subst_grid refuses; ResourceError when _table_bytes exceeds
-    directsim.DEFAULT_MEMORY_CAP.
-    """
+    a = 0 .. n_max, and _signed_index(n_max). ParameterError for an odd or
+    < 2 n_max and a grid_n _subst_grid refuses; ResourceError when
+    _table_bytes exceeds directsim.DEFAULT_MEMORY_CAP."""
     if n_max < 2 or n_max % 2:
         raise ParameterError("n_max must be even and >= 2")
     nbytes, cap = _table_bytes(n_max, grid_n), directsim.DEFAULT_MEMORY_CAP
@@ -456,15 +450,22 @@ def _tables(n_max, grid_n):
     rows = np.arange(n_max + 1)[:, None]
     phases = 2 * w * (-1.0) ** (rows * k) * np.exp(1j * rows * delta)
     phase = (-1.0) ** k * np.exp(-1j * delta)
+    tables = _Tables(phase, phases, *_signed_index(n_max))
+    for table in (*tables[:2], *tables.fold[2:], tables.index, *tables.renewal):
+        table.flags.writeable = False
+    return tables
+
+
+@functools.lru_cache(maxsize=8)
+def _signed_index(n_max):
+    """The _Fold of the 131 blocks (a, n), a >= 0, that s(z) reads at n_max = 20,
+    the signed index of s(z) in [F, -F] and its _Renewal; _tables guards it."""
     # (a, |b|) of the cross basis: |a| + |b| <= n_max, or |a| = |b| on one arm
     fold, row_of = _fold_pairs(n_max, lambda a, n: (a + n <= n_max) | (a == n))
     positions = cross_basis(n_max)
     d1, d2 = (np.array(positions)[:, None] - np.array(positions)[None, :]).transpose(2, 0, 1)
     index = _block_index(d1, d2, row_of).transpose(0, 2, 1, 3).reshape(4 * len(positions), -1)
-    tables = _Tables(phase, phases, fold, index, _renewal_tables(index, 16 * fold.count))
-    for table in (*tables[:2], *tables[2][2:], index, *tables.renewal):
-        table.flags.writeable = False
-    return tables
+    return fold, index, _renewal_tables(index, 16 * fold.count)
 
 
 def _fold(blocks, z, tables, fold):
@@ -553,6 +554,7 @@ class StieltjesMatrix:
     positions: list  # (x, m) cross points; basis index = 4*pos + (2c + c')
     values: np.ndarray  # [F, -F], F the flat xi fold
     index: np.ndarray  # (dim, dim) signed index into values
+    renewal: _Renewal  # the renewal's tables for index
 
     @property
     def matrix(self) -> np.ndarray:  # gathered on each read
@@ -573,7 +575,7 @@ def stieltjes_matrix(
     z, blocks = _check_z(z), _laurent_blocks(family)  # refuses a family before any work
     tables = _tables(n_max, grid_n)
     values = _fold(blocks, z, tables, tables.fold)
-    return StieltjesMatrix(z, n_max, cross_basis(n_max), values, tables.index)
+    return StieltjesMatrix(z, n_max, cross_basis(n_max), values, tables.index, tables.renewal)
 
 
 def _orbit_norms(blocks, fix):
@@ -587,10 +589,9 @@ def _orbit_norms(blocks, fix):
     return np.max(columns * fix / 4, axis=1)
 
 
-def _split_renewal(values, index, tables):
+def _split_renewal(values, renewal):
     """(1 - w_(R,R,0,0) - w_(L,L,0,0), kappa_1) with w = s^-1 e_(R,R,0,0), from
-    the four (J, Pi) blocks of s = values[index]; tables are _tables' for its
-    truncation, whose _Renewal serves their own index (any other is derived).
+    the four (J, Pi) blocks of s = values[index], renewal the _Renewal of index.
 
     Each of the 41, 42, 41 and 40 rows of the blocks at n_max = 20 is an orbit
     representative r. A ConsistencyError is raised if s differs from J s J,
@@ -605,7 +606,6 @@ def _split_renewal(values, index, tables):
     so that at small z, where s - I is O(z), the rounding stays relative to
     s - I. kappa_1 is exact (_orbit_norms).
     """
-    renewal = tables.renewal if index is tables.index else _renewal_tables(index, len(values) // 2)
     peak = values.max()
     for pairs, what in ((renewal.swap, "ket-bra swap: |s - JsJ|"),
                         (renewal.reflect, "reflection: |s - Pi s Pi^T|")):
@@ -644,7 +644,7 @@ def recurrence_estimate(
         raise OutOfValidatedRangeError(f"z={z} is below the validated floor {Z_MIN}")
     s = stieltjes_matrix(kraus_family(params), z, n_max, grid_n)
     try:
-        q, kappa_1 = _split_renewal(s.values, s.index, _tables(n_max, grid_n))
+        q, kappa_1 = _split_renewal(s.values, s.renewal)
     except np.linalg.LinAlgError as exc:
         raise ConditioningError(f"inverse failed at z={z}, n_max={n_max}: {exc}") from exc
     # kappa_2 <= dim kappa_1, so this refuses every s(z) with kappa_2 above the limit (and NaN)

@@ -490,9 +490,12 @@ def _joint_eigenbasis(n_max):
 
 
 def _dense_stieltjes(z, n_max, mat):
-    """A dense s(z) as a StieltjesMatrix: values [s, -s] and the identity index."""
+    """A dense s(z) as a StieltjesMatrix: values [s, -s], the identity index and
+    the renewal's tables for it."""
     values, index = np.concatenate([mat.ravel(), -mat.ravel()]), np.arange(mat.size)
-    return StieltjesMatrix(z, n_max, cross_basis(n_max), values, index.reshape(mat.shape))
+    index = index.reshape(mat.shape)
+    renewal = genfun._renewal_tables(index, mat.size)
+    return StieltjesMatrix(z, n_max, cross_basis(n_max), values, index, renewal)
 
 
 def _inject_stieltjes(monkeypatch, z, n_max, mat):
@@ -533,8 +536,7 @@ def test_split_renewal_matches_full_inverse(model):
                 i_rr, i_ll = s.basis_index(0, 0, 0), s.basis_index(3, 0, 0)
                 plain = (1.0 - inv[i_rr, i_rr] - inv[i_ll, i_rr]) / z
                 assert abs(recurrence_estimate(params, z) - plain) <= 1e-12
-                tables = genfun._tables(20, genfun.DEFAULT_GRID)
-                _, kappa_1 = genfun._split_renewal(s.values, s.index, tables)
+                _, kappa_1 = genfun._split_renewal(s.values, s.renewal)
                 plain = np.linalg.norm(s.matrix, 1) * np.linalg.norm(inv, 1)
                 assert kappa_1 == pytest.approx(plain, rel=1e-9)
 
@@ -669,8 +671,7 @@ def test_fold_pair_checks_equal_the_dense_checks(model):
     n_max = 20), and takes the peak as max |F|: all three equal the maxima
     read from the dense s(z), and the renewal of the fold equals, bit for
     bit, the renewal of the dense s(z) (values [s, -s], identity index)."""
-    tables = genfun._tables(20, genfun.DEFAULT_GRID)
-    renewal = tables.renewal
+    renewal = genfun._tables(20, genfun.DEFAULT_GRID).renewal
     assert renewal.swap.shape == (2, 132) and renewal.reflect.shape == (2, 136)
     j = _ket_bra_swap(20)[0]
     for theta in (0.0, 0.3, math.pi / 4, 1.1, math.pi / 2):
@@ -684,8 +685,8 @@ def test_fold_pair_checks_equal_the_dense_checks(model):
                     assert np.max(np.abs(pair[0] - pair[1])) == np.max(np.abs(mat - dense))
                 assert s.values.max() == max(mat.max(), -mat.min())
                 dense = _dense_stieltjes(z, 20, mat)
-                assert genfun._split_renewal(s.values, s.index, tables) == genfun._split_renewal(
-                    dense.values, dense.index, tables)
+                assert genfun._split_renewal(s.values, s.renewal) == genfun._split_renewal(
+                    dense.values, dense.renewal)
 
 
 def test_warm_default_point_heap_stays_small():
@@ -790,6 +791,7 @@ def test_tables_over_the_memory_cap_are_refused(monkeypatch):
     ResourceError before they are built; n_max = 30 at grid 4096, the
     truncation of the benchmark's references, fits under the real cap."""
     genfun._tables.cache_clear()
+    genfun._signed_index.cache_clear()
     for n_max in (20, 50):
         tracemalloc.start()
         try:
@@ -801,6 +803,7 @@ def test_tables_over_the_memory_cap_are_refused(monkeypatch):
     assert genfun._table_bytes(30, 4096) <= directsim.DEFAULT_MEMORY_CAP
     genfun._tables(30, 4096)
     genfun._tables.cache_clear()
+    genfun._signed_index.cache_clear()
     monkeypatch.setattr(directsim, "DEFAULT_MEMORY_CAP", genfun._table_bytes(50, 384) - 1)
     genfun._tables(48, 384)
     for _ in range(2):
