@@ -90,8 +90,11 @@ def _row(model, theta, p, z, nmax, grid, kind, t, value, error=""):
 def _emit(lines, out_path):
     text = "\n".join(lines) + "\n"
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _UsageError(f"cannot write {out_path}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -332,7 +335,7 @@ def build_parser(config=None) -> _Parser:
     p_min = sub.add_parser("minima", help="minimum of the recurrence over p")
     common(p_min)
     p_min.add_argument("--theta", required=True)
-    p_min.add_argument("--z", type=float, default=0.99999)
+    p_min.add_argument("--z", type=float, default=genfun.Z_CAP)
     p_min.add_argument("--nmax", type=int, default=20)
     p_min.add_argument("--grid", type=int, default=genfun.DEFAULT_GRID)
     p_min.add_argument("--iterations", type=int, default=15)

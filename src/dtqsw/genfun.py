@@ -312,17 +312,17 @@ class _Fold(NamedTuple):
     sign: np.ndarray  # and its sign
 
 
-def _fold_pairs(n_max, keep):
-    """The _Fold of the blocks (a, n), 0 <= a, n <= n_max, a = n (mod 2), with
-    keep(a, n) (true for every n = 0 block), and row_of[a, n]: each block's row in
-    the fold, -1 where none.
+def _fold_pairs(n_max):
+    """The _Fold of the blocks (a, n) that s(z) reads with a >= 0, a = n (mod 2)
+    and a + n <= n_max or a = n, and row_of[a, n]: each block's row in the fold,
+    -1 where none.
 
     An a = 0 block of s(z) equals its reflection image: F(0, 0) = K F(0, 0) K^T
     and F(0, n) = KP F(0, n) (KP)^T for n >= 1, K = G x G; zero, image and
     sign pair each entry with its image.
     """
     a, n = np.indices((n_max + 1, n_max + 1))
-    taken = (a % 2 == n % 2) & keep(a, n)
+    taken = (a % 2 == n % 2) & ((a + n <= n_max) | (a == n))
     order = np.lexsort((a[taken], n[taken]))
     a, n = a[taken][order], n[taken][order]
     row_of = np.full((n_max + 1, n_max + 1), -1)
@@ -460,8 +460,7 @@ def _tables(n_max, grid_n):
 def _signed_index(n_max):
     """The _Fold of the 131 blocks (a, n), a >= 0, that s(z) reads at n_max = 20,
     the signed index of s(z) in [F, -F] and its _Renewal; _tables guards it."""
-    # (a, |b|) of the cross basis: |a| + |b| <= n_max, or |a| = |b| on one arm
-    fold, row_of = _fold_pairs(n_max, lambda a, n: (a + n <= n_max) | (a == n))
+    fold, row_of = _fold_pairs(n_max)
     positions = cross_basis(n_max)
     d1, d2 = (np.array(positions)[:, None] - np.array(positions)[None, :]).transpose(2, 0, 1)
     index = _block_index(d1, d2, row_of).transpose(0, 2, 1, 3).reshape(4 * len(positions), -1)
@@ -508,36 +507,6 @@ def _fold(blocks, z, tables, fold):
     return np.concatenate([flat, -flat])
 
 
-@functools.lru_cache(maxsize=8)
-def _fourier_tables(n_max, grid_n):
-    """The _Fold of every block (a, n) with a, n <= n_max, the keys of
-    fourier_blocks and their index in [F, -F]."""
-    fold, row_of = _fold_pairs(n_max, lambda a, n: a >= 0)
-    span = range(-2 * n_max, 2 * n_max + 1, 2)
-    keys = [(d1, d2) for d1 in span for d2 in span if abs(d1) + abs(d2) <= 2 * n_max]
-    d1, d2 = np.array(keys).T
-    index = _block_index(d1, d2, row_of)
-    for table in (*fold[2:], index):
-        table.flags.writeable = False
-    return fold, keys, index
-
-
-def fourier_blocks(
-    family: TranslationKrausFamily, z: float, n_max: int, grid_n: int = DEFAULT_GRID
-) -> dict:
-    """Map (d1, d2) -> 4x4 block A_{xm,yn}(z) with d1 = x - y, d2 = m - n.
-
-    The keys are the even offsets with |d1| + |d2| <= 2 n_max: a superset of
-    the blocks the cross basis reads (251 of the 462 at n_max = 20); odd
-    offsets are never computed. The blocks are real, folded for a >= 0 and
-    taken from their reflection images for a < 0, as in s(z).
-    """
-    z, blocks = _check_z(z), _laurent_blocks(family)  # refuses a family before any work
-    tables = _tables(n_max, grid_n)
-    fold, keys, index = _fourier_tables(n_max, grid_n)
-    return dict(zip(keys, _fold(blocks, z, tables, fold)[index]))
-
-
 def cross_basis(n_max: int) -> list:
     """Ordered (x, m) cross points: even, |.| <= n_max, x = 0 or m = 0."""
     points = [(x, 0) for x in range(-n_max, n_max + 1, 2)]
@@ -576,6 +545,21 @@ def stieltjes_matrix(
     tables = _tables(n_max, grid_n)
     values = _fold(blocks, z, tables, tables.fold)
     return StieltjesMatrix(z, n_max, cross_basis(n_max), values, tables.index, tables.renewal)
+
+
+def fourier_blocks(
+    family: TranslationKrausFamily, z: float, n_max: int, grid_n: int = DEFAULT_GRID
+) -> dict:
+    """Map (d1, d2) -> 4x4 block A_{xm,yn}(z) with d1 = x - y, d2 = m - n.
+
+    A block view of stieltjes_matrix: the keys are the offsets between two
+    cross points (481 at n_max = 20), each block the real 4 x 4 block of s(z)
+    at that offset.
+    """
+    s = stieltjes_matrix(family, z, n_max, grid_n)
+    blocks = s.matrix.reshape(len(s.positions), 4, len(s.positions), 4)
+    return {(x - y, m - n): blocks[i, :, j]
+            for i, (x, m) in enumerate(s.positions) for j, (y, n) in enumerate(s.positions)}
 
 
 def _orbit_norms(blocks, fix):

@@ -1,5 +1,8 @@
 import concurrent.futures
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -165,6 +168,39 @@ def test_genfun_tables_over_memory_cap_exit_1(capsys, monkeypatch, command):
     code, out, err = run_cli(capsys, *command, "--nmax", "50")
     assert code == 1 and out == ""
     assert err.startswith("error: genfun tables for n_max=50") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("where", ["directory", "missing-parent"])
+def test_unwritable_out_is_usage_error(capsys, tmp_path, where):
+    """--out to a directory or under a missing directory exits 1 with
+    "error: cannot write ...", not a traceback."""
+    path = tmp_path if where == "directory" else tmp_path / "missing" / "x.csv"
+    code, out, err = run_cli(capsys, "oracle", "--which", "catalan", "--out", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: cannot write {path}: ") and "Traceback" not in err
+
+
+def test_fresh_process_skips_costly_imports(tmp_path):
+    """recur with --jobs 1, fit and minima in a fresh process import none of
+    numpy.ma, numpy.polynomial and concurrent.futures: each costs 5 to 11 ms of
+    start-up."""
+    script = f"""
+import sys
+from dtqsw.cli import main
+recur = {str(tmp_path / "recur.csv")!r}
+assert main(["recur", "--theta", "0.25pi", "--p", "0.5", "--z", "0.9,0.99,0.995,0.999",
+             "--nmax", "4", "--grid", "64", "--jobs", "1", "--out", recur]) == 0
+assert main(["fit", "--input", recur]) == 0
+assert main(["minima", "--theta", "0.39pi", "--z", "0.999", "--nmax", "4", "--grid", "64",
+             "--iterations", "8"]) == 0
+print("imported:", *(m for m in ("numpy.ma", "numpy.polynomial", "concurrent.futures")
+                    if m in sys.modules))
+"""
+    path = [os.path.dirname(os.path.dirname(cli.__file__)), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, check=True)
+    assert done.stdout.splitlines()[-1] == "imported:"
 
 
 def test_evolve_hadamard_first_steps(capsys):

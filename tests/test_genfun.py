@@ -167,12 +167,13 @@ def test_fourier_blocks_nonstandard_balanced_coin(coin):
 
 
 def test_fourier_blocks_key_set_and_reality():
-    """Keys are the even offsets with |d1| + |d2| <= 2 n_max; blocks are real."""
+    """Keys are the offsets (x - y, m - n) between two cross points (61 at
+    n_max = 6); blocks are real 4 x 4 arrays."""
     n_max = 6
     blocks = fourier_blocks(kraus_family(WalkParams(0.9, 0.4)), 0.9, n_max, grid_n=64)
-    span = range(-2 * n_max, 2 * n_max + 1, 2)
-    keys = {(d1, d2) for d1 in span for d2 in span if abs(d1) + abs(d2) <= 2 * n_max}
-    assert set(blocks) == keys
+    points = cross_basis(n_max)
+    keys = {(x - y, m - n) for x, m in points for y, n in points}
+    assert set(blocks) == keys and len(keys) == 61
     assert all(np.isrealobj(b) and b.shape == (4, 4) for b in blocks.values())
 
 
@@ -281,17 +282,48 @@ def test_stieltjes_transpose_symmetry_and_reality():
             assert abs(s.matrix[i, j] - s.matrix[ti, tj]) < 1e-12
 
 
+# the coin-pair swap P and the reflection K = G x G on a coin pair, G = [[0, 1], [-1, 0]]
+COIN_PAIR_SWAP = np.eye(4)[[0, 2, 1, 3]]
+COIN_PAIR_REFLECT = np.kron([[0.0, 1.0], [-1.0, 0.0]], [[0.0, 1.0], [-1.0, 0.0]])
+
+
+def _assembled_stieltjes(fam, z, n_max, grid_n):
+    """s(z) block by block from the eta coefficients on the xi nodes: F(a, n) =
+    Re sum_xi 2 w exp(i a xi) (H0 - I, or b^(n-1) H1) by a direct sum, plus I at
+    (0, 0), the a = 0 blocks averaged with their reflection images; block
+    (d1, d2) is F(a, |b|), a = (d1 + d2)/2 and b = (d1 - d2)/2, with P F P for
+    b > 0, and K (block (-d1, -d2)) K^T for a < 0."""
+    tables = genfun._tables(n_max, grid_n)
+    h0, h1, b = _eta_parts(_laurent_blocks(fam), z, tables.phase)
+    k, kp = COIN_PAIR_REFLECT, COIN_PAIR_REFLECT @ COIN_PAIR_SWAP
+
+    def harmonic(a, n):
+        h = h0 - np.eye(4) if n == 0 else b[:, None, None] ** (n - 1) * h1
+        f = np.einsum("j,jkl->kl", tables.phases[a], h).real + (a == n == 0) * np.eye(4)
+        image = k if n == 0 else kp
+        return (f + image @ f @ image.T) / 2 if a == 0 else f
+
+    def block(d1, d2):
+        a, n = (d1 + d2) // 2, (d1 - d2) // 2
+        if a < 0:
+            return k @ block(-d1, -d2) @ k.T
+        f = harmonic(a, abs(n))
+        return COIN_PAIR_SWAP @ f @ COIN_PAIR_SWAP if n > 0 else f
+
+    positions = cross_basis(n_max)
+    return np.block([[block(x - y, m - n) for y, n in positions] for x, m in positions])
+
+
 @pytest.mark.parametrize("model", [Model.BALANCED, Model.CORRELATED])
 @pytest.mark.parametrize("n_max", [4, 20])
 def test_stieltjes_gather_matches_block_assembly(model, n_max):
     """The one-index gather of s(z) against s(z) assembled block by block from
-    fourier_blocks, (x, m), (y, n) -> block (x - y, m - n): both parities of
-    the fold and the coin-pair swap of the b > 0 blocks."""
+    the eta coefficients, (x, m), (y, n) -> block (x - y, m - n): both parities
+    of the fold, the averaged a = 0 blocks, the coin-pair swap of the b > 0
+    blocks and the reflection of the a < 0 blocks, as explicit 4 x 4 matrices."""
     fam = kraus_family(WalkParams(0.9, 0.35, model))
-    positions = cross_basis(n_max)
     for z in (0.5, 0.999, Z_CAP):
-        blocks = fourier_blocks(fam, z, n_max, grid_n=256)
-        ref = np.block([[blocks[x - y, m - n] for y, n in positions] for x, m in positions])
+        ref = _assembled_stieltjes(fam, z, n_max, 256)
         s = stieltjes_matrix(fam, z, n_max, grid_n=256).matrix
         assert s.shape == ref.shape
         assert np.max(np.abs(s - ref)) <= 1e-12 * np.max(np.abs(ref))
