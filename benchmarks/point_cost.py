@@ -11,8 +11,8 @@ best over the processes, in ms:
 
     eta        genfun._eta_parts, the closed-form eta coefficients
     stieltjes  genfun.stieltjes_matrix: eta, the xi fold and its index
-    fold       stieltjes - eta
-    renewal    genfun._split_renewal, checks, blocks, inverse and kappa_1
+    fold       stieltjes - eta: the xi fold and its ket-bra swap check
+    renewal    genfun._split_renewal: the blocks, the inverse and kappa_1
     point      genfun.recurrence_estimate
 
 Each process also runs perfbench's recur workload at seed SEED with
@@ -56,12 +56,10 @@ def _child(src: str) -> dict:
     blocks = genfun._laurent_blocks(family)
     tables = genfun._tables(n_max, genfun.DEFAULT_GRID)
     s = genfun.stieltjes_matrix(family, z, n_max)
-    # trees from before the fold-indexed renewal take the dense s(z)
-    held = (s.values, s.renewal) if hasattr(s, "renewal") else (s.matrix, tables)
     stages = {
         "eta": lambda: genfun._eta_parts(blocks, z, tables.phase),
         "stieltjes": lambda: genfun.stieltjes_matrix(family, z, n_max),
-        "renewal": lambda: genfun._split_renewal(*held),
+        "renewal": lambda: genfun._split_renewal(s.values, s.renewal),
         "point": lambda: genfun.recurrence_estimate(params, z, n_max),
     }
     best = dict.fromkeys(stages, math.inf)

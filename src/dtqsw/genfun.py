@@ -60,29 +60,31 @@ with Pi. At offsets (d1, d2) the cross basis reads harmonic a = (d1 + d2)/2
 |a| + n <= n_max or |a| = n: 251 blocks at n_max = 20. The 131 with a >= 0
 are folded as [Re Y, Im Y] @ [Re H; -Im H], with rows 2 w exp(i a xi) b^(n-1)
 (one real matmul for H1, one for H0 - I), and the a < 0 blocks are gathered
-from their Pi images with signs. The a = 0 blocks are averaged with their
-images, so s(z) commutes with Pi bit for bit. s(z) is the signed fold
-[F, -F] (2 x 2096 values at n_max = 20) with a signed index into it. The
-node phases and rows are cached per (n_max, grid_n); the fold runs, the
-index and the renewal's tables for it per n_max.
+from their Pi images with signs. An a = 0 entry x is averaged with its image
+y as (x + s y) / 2, s = +-1, which rounds to the number (y + s x) / 2 does,
+so s(z) commutes with Pi bit for bit and needs no run-time check. s(z) is
+the signed fold [F, -F] (2 x 2096 values at n_max = 20) with a signed index
+into it. The node phases and rows are cached per (n_max, grid_n); the fold
+runs, the index and the renewal's tables for it per n_max.
 
 s(z) also commutes with the ket-bra swap J : (x, m, c, c') -> (m, x, c', c),
 the Hermiticity of rho (for real Kraus operators the map commutes with the
-transpose of rho), and J commutes with Pi. On the joint (J, Pi) eigenvectors
-s(z) splits into four blocks, 41, 42, 41 and 40 rows at n_max = 20, one per
-orbit representative of the group {1, Pi, J, J Pi} that each holds. The
-renewal reads the fold, not the dense s(z). It refuses with ConsistencyError
-an s(z) that differs from J s(z) J, then from Pi s(z) Pi^T, by more than
-1e-9 of max |F| (rounding leaves under 1e-11), over the fold pairs that the
-difference compares: 132 in the n = 0 blocks for J, 136 in the a = 0 blocks
-for Pi. It inverts the four blocks of the group average, one signed gather
-(4 x 42 x 42) of the orbit sums of the fold values of s(z) - I, in one call
-on a stack padded with the identity. The source e_(R,R,0,0) is half in the
-(J+, Pi+) block, which holds (e_(R,R) + e_(L,L)) / sqrt 2, so w comes from
-that block, and the exact kappa_1 = |s|_1 |s^-1|_1 is read from the four
-inverses in O(dim^2). The guard refuses dim kappa_1 > 1e14: |A|_2 <=
-sqrt(dim) |A|_1, so kappa_2 <= dim kappa_1, and it refuses every s(z) a
-kappa_2 limit would.
+transpose of rho), and J commutes with Pi. J can break only by rounding and
+only in the n = 0 blocks, F(a, 0) against P F(a, 0) P; every other block
+reads the fold entries its J image reads. The fold refuses with
+ConsistencyError an s(z) that differs from J s(z) J by more than 1e-9 of
+max |F| (rounding leaves under 1e-11) on those 132 entry pairs at n_max = 20.
+On the joint (J, Pi) eigenvectors s(z) splits into four blocks, 41, 42, 41
+and 40 rows at n_max = 20, one per orbit representative of the group
+{1, Pi, J, J Pi} that each holds. The renewal reads the fold, not the dense
+s(z), and is linear algebra alone: it inverts the four blocks of the group
+average, one signed gather (4 x 42 x 42) of the orbit sums of the fold
+values of s(z) - I, in one call on a stack padded with the identity. The
+source e_(R,R,0,0) is half in the (J+, Pi+) block, which holds
+(e_(R,R) + e_(L,L)) / sqrt 2, so w comes from that block, and the exact
+kappa_1 = |s|_1 |s^-1|_1 is read from the four inverses in O(dim^2). The
+guard refuses dim kappa_1 > 1e14: |A|_2 <= sqrt(dim) |A|_1, so
+kappa_2 <= dim kappa_1, and it refuses every s(z) a kappa_2 limit would.
 """
 
 from __future__ import annotations
@@ -130,8 +132,7 @@ DEFAULT_Z_SAMPLES = (
 )
 
 _COND_LIMIT = 1e14
-# largest |s - g s g^T| accepted, g = J or Pi, relative to the largest |s_ij|;
-# rounding leaves < 1e-11
+# largest |s - J s J| accepted, relative to the largest |s_ij|; rounding leaves < 1e-11
 _SWAP_TOL = 1e-9
 _FLUSH = np.sqrt(np.finfo(float).tiny)
 # coin pair 2*c + c' -> 2*c' + c
@@ -310,6 +311,7 @@ class _Fold(NamedTuple):
     zero: np.ndarray  # flat fold entries of the a = 0 blocks
     image: np.ndarray  # the entry of each one's reflection image
     sign: np.ndarray  # and its sign
+    swap: np.ndarray  # (2, m): the n = 0 entries (c, c') that P moves, and (P c, P c')
 
 
 def _fold_pairs(n_max):
@@ -319,7 +321,8 @@ def _fold_pairs(n_max):
 
     An a = 0 block of s(z) equals its reflection image: F(0, 0) = K F(0, 0) K^T
     and F(0, n) = KP F(0, n) (KP)^T for n >= 1, K = G x G; zero, image and
-    sign pair each entry with its image.
+    sign pair each entry with its image, and swap each n = 0 entry that P
+    moves with its J image.
     """
     a, n = np.indices((n_max + 1, n_max + 1))
     taken = (a % 2 == n % 2) & ((a + n <= n_max) | (a == n))
@@ -340,15 +343,16 @@ def _fold_pairs(n_max):
     last = np.append(first[1:], len(a)) - 1
     groups = tuple((int(n[i]) - 1, int(a[i]), int(a[j]) + 1, int(i) - n_zero)
                    for i, j in zip(first, last) if n[i] > 0)
-    fold = _Fold(len(a), groups, zero.ravel(), image.ravel(), sign.ravel())
+    entry, swapped = 4 * coin[:, None] + coin, 4 * _SWAP[:, None] + _SWAP
+    moved = np.stack([entry[entry != swapped], swapped[entry != swapped]])  # 12 per block
+    swap = (16 * np.arange(n_zero)[:, None] + moved[:, None]).reshape(2, -1)  # the n_zero first rows
+    fold = _Fold(len(a), groups, zero.ravel(), image.ravel(), sign.ravel(), swap)
     return fold, row_of
 
 
 class _Renewal(NamedTuple):
     """The renewal's tables for one signed index of s(z) into values = [F, -F]."""
 
-    swap: np.ndarray  # (2, m): the value pairs (p, q) that s - J s J compares, p != q
-    reflect: np.ndarray  # (2, m): and those that s - Pi s Pi^T compares
     orbit: np.ndarray  # (4, M): signed values of g e, g = 1, Pi, J, J Pi, per orbit sum
     unit: np.ndarray  # (4, M): the entries of I at them
     gather: np.ndarray  # (k, r, o): the orbit sum of entry e = (r, k o)
@@ -379,18 +383,8 @@ def _renewal_tables(index, n):
         np.add(at, n, out=at, where=flip)
         return np.remainder(at, 2 * n, out=at)
 
-    def pairs(g):  # (p, q), p < n, per distinct |v_p - v_q| of an entry and its image
-        q = image(g, every[:, None], every)
-        differ = q != index
-        p, q = index[differ], q[differ]
-        key = (p % n) * (2 * n) + q % n + n * ((p >= n) ^ (q >= n))
-        # with return_index: a plain np.unique imports numpy.ma, 11 ms in a fresh process
-        return np.stack(divmod(np.unique(key, return_index=True)[0], 2 * n))
-
-    every = np.arange(dim)
-    swaps, reflects = pairs(2), pairs(1)
     # the least index of each orbit, the origin's e_(R,R) and e_(R,L) first
-    origin, least = 4 * where[0, 0], np.flatnonzero(perm.min(axis=0) == every)
+    origin, least = 4 * where[0, 0], np.flatnonzero(perm.min(axis=0) == np.arange(dim))
     reps = np.concatenate([[origin, origin + 1], least[(least != origin) & (least != origin + 1)]])
     image_of, image_sign = perm[:, reps], signs[:, reps]  # (g, r)
     fixed = image_of == reps
@@ -406,7 +400,7 @@ def _renewal_tables(index, n):
     fix = fixed.sum(axis=0).astype(float)
     scale = np.where(held[:, :, None] & held[:, None, :], 1 / (4 * fix), 0.0)
     pad = np.eye(len(reps)) * ~held[:, None, :]
-    return _Renewal(swaps, reflects, orbit, unit, gather.reshape(entries.shape), scale, pad, fix)
+    return _Renewal(orbit, unit, gather.reshape(entries.shape), scale, pad, fix)
 
 
 class _Tables(NamedTuple):
@@ -422,11 +416,10 @@ def _table_bytes(n_max, grid_n):
     32 (dim + 4)^2 + 24 (n_max + 1) grid_n + 1 MiB, dim = 4 (2 n_max + 1).
 
     The signed index of s(z) is dim^2 int64 (dim is the size of s(z)), and
-    building it, or the fold pairs of one symmetry check, holds about three
-    more; the renewal's gather, orbit sums, scales and pads are dim^2 / 4
-    entries each, and the xi rows about three (n_max + 1) x grid_n / 2 complex
-    arrays. Traced peaks at grid 384 are 30 dim^2 from n_max = 100 on (306 MB
-    at n_max = 400, 0.92 of the figure).
+    building it holds about three more; the renewal's gather, orbit sums,
+    scales and pads are dim^2 / 4 entries each, and the xi rows about three
+    (n_max + 1) x grid_n / 2 complex arrays. Traced peaks at grid 384 are
+    30 dim^2 from n_max = 100 on (306 MB at n_max = 400, 0.92 of the figure).
     """
     dim = 4 * (2 * n_max + 1)
     return 32 * (dim + 4) ** 2 + 24 * (n_max + 1) * max(grid_n, 0) + (1 << 20)
@@ -467,12 +460,13 @@ def _signed_index(n_max):
     return fold, index, _renewal_tables(index, 16 * fold.count)
 
 
-def _fold(blocks, z, tables, fold):
-    """[F, -F], F the flat xi fold of the blocks (a, n) of fold: 2 Re sum_xi
-    w exp(i a xi) H_n(xi) over the first-half nodes, the a = 0 blocks
+def _fold(blocks, z, tables):
+    """[F, -F], F the flat xi fold of the blocks (a, n) of tables.fold: 2 Re
+    sum_xi w exp(i a xi) H_n(xi) over the first-half nodes, the a = 0 blocks
     averaged with their reflection images, so that s(z) commutes with Pi bit
-    for bit. blocks are the family's _laurent_blocks, tables _tables'."""
-    phase, phases = tables.phase, tables.phases
+    for bit. ConsistencyError when s(z) differs from J s(z) J on fold.swap by
+    more than _SWAP_TOL of max |F|. blocks are the family's _laurent_blocks."""
+    phase, phases, fold = tables.phase, tables.phases, tables.fold
     h0, h1, b = _eta_parts(blocks, z, phase)
     # Re(Y H) = [Re Y, Im Y] @ [Re H; -Im H]: rows interleaved per node on both sides.
     # Against H0 the rows are 2 w exp(i a xi), a = 0, 2, .., n_max; H0 - I is folded and
@@ -504,6 +498,10 @@ def _fold(blocks, z, tables, fold):
     np.matmul(rows.view(float), right, out=out[len(zero_rows):])
     flat = out.ravel()
     flat[fold.zero] = (flat[fold.zero] + fold.sign * flat[fold.image]) / 2
+    value = np.max(np.abs(flat[fold.swap[0]] - flat[fold.swap[1]]))
+    if value > _SWAP_TOL * np.max(np.abs(flat)):
+        raise ConsistencyError(
+            f"s(z) is not symmetric under the ket-bra swap: |s - JsJ| = {value:.3e}")
     return np.concatenate([flat, -flat])
 
 
@@ -543,7 +541,7 @@ def stieltjes_matrix(
     """The real s(z) over the even cross basis: the xi fold and its signed index."""
     z, blocks = _check_z(z), _laurent_blocks(family)  # refuses a family before any work
     tables = _tables(n_max, grid_n)
-    values = _fold(blocks, z, tables, tables.fold)
+    values = _fold(blocks, z, tables)
     return StieltjesMatrix(z, n_max, cross_basis(n_max), values, tables.index, tables.renewal)
 
 
@@ -578,25 +576,17 @@ def _split_renewal(values, renewal):
     the four (J, Pi) blocks of s = values[index], renewal the _Renewal of index.
 
     Each of the 41, 42, 41 and 40 rows of the blocks at n_max = 20 is an orbit
-    representative r. A ConsistencyError is raised if s differs from J s J,
-    then from Pi s Pi^T, by more than _SWAP_TOL of max |values|, read on the
-    value pairs that each difference compares. In its place s is the group
-    average, whose block c is 1/(4 |fix o|) sum_k chi_c(k) O(r, k o) in the
-    coordinates v[r], O(e) = sum_g sign (s - I)[g e] the orbit sum of entry e,
-    formed once per value and gathered. The inverse is one np.linalg.inv on
-    the stack, each block padded with the identity. The (J+, Pi+) block holds
+    representative r. s commutes with Pi by construction and with J within
+    _SWAP_TOL, which _fold checks, and is replaced by its group average, whose
+    block c is 1/(4 |fix o|) sum_k chi_c(k) O(r, k o) in the coordinates v[r],
+    O(e) = sum_g sign (s - I)[g e] the orbit sum of entry e, formed once per
+    value and gathered. The inverse is one np.linalg.inv on the stack, each
+    block padded with the identity. The (J+, Pi+) block holds
     (e_(R,R) + e_(L,L)) / sqrt 2 at the origin, so w is its inverse's first
     entry; the blocks are summed from s - I, and 1 - w = [(s - I) s^-1]_00,
     so that at small z, where s - I is O(z), the rounding stays relative to
     s - I. kappa_1 is exact (_orbit_norms).
     """
-    peak = values.max()
-    for pairs, what in ((renewal.swap, "ket-bra swap: |s - JsJ|"),
-                        (renewal.reflect, "reflection: |s - Pi s Pi^T|")):
-        pair = values[pairs]
-        value = np.max(np.abs(pair[0] - pair[1]), initial=0.0)
-        if value > _SWAP_TOL * peak:
-            raise ConsistencyError(f"s(z) is not symmetric under the {what} = {value:.3e}")
     terms = values[renewal.orbit]
     terms -= renewal.unit
     sums = ((terms[0] + terms[1]) + (terms[2] + terms[3]))[renewal.gather]

@@ -623,60 +623,34 @@ def test_condition_guard_is_never_looser_than_kappa_2(monkeypatch, rotated):
 def test_non_swap_symmetric_stieltjes_is_refused(monkeypatch):
     """An s(z) that does not commute with the ket-bra swap is a ConsistencyError
     (a DtqswError, so a sweep records it) rather than a silently wrong split:
-    a well-conditioned diagonal s(z) with distinct entries, and the J-symmetric
-    identity with one entry moved by 1e-6; moved by 1e-13 it is solved."""
+    H0's (RL, RR) entry moved by 1e-6 at every xi node moves F(0, 0)'s by
+    5e-7 after the reflection average, and not its J image (LR, RR); the fold
+    refuses it for stieltjes_matrix and recurrence_estimate alike. Moved by
+    1e-13 the point is solved, within 1e-12 of the unmoved value."""
     n_max, z = 4, 0.5
-    dim = 4 * len(cross_basis(n_max))
-    params = WalkParams(0.6, 0.3)
-    _inject_stieltjes(monkeypatch, z, n_max, np.diag(np.geomspace(1.0, 1e-3, dim)))
-    with pytest.raises(ConsistencyError, match="ket-bra swap"):
-        recurrence_estimate(params, z, n_max, 64)
-    i = _ket_bra_swap(n_max)[2][0][0]
-    for shift in (1e-13, 1e-6):
-        mat = np.eye(dim)
-        mat[i, 0] += shift
-        _inject_stieltjes(monkeypatch, z, n_max, mat)
-        if shift < genfun._SWAP_TOL:
-            assert recurrence_estimate(params, z, n_max, 64) == pytest.approx(0.0, abs=1e-12)
-        else:
-            with pytest.raises(ConsistencyError, match="ket-bra swap"):
-                recurrence_estimate(params, z, n_max, 64)
-    point = z_sweep(params, [z], n_max, 64)[0]
-    assert math.isnan(point.value) and point.error.startswith("ConsistencyError")
+    eta_parts = genfun._eta_parts
 
+    def moved(shift):
+        def parts(*args):
+            h0, h1, b = eta_parts(*args)
+            h0[:, 1, 0] += shift
+            return h0, h1, b
+        return parts
 
-def test_non_reflection_symmetric_stieltjes_is_refused(monkeypatch):
-    """An s(z) that commutes with J but not with the reflection Pi is a
-    ConsistencyError, not a silently wrong four-block split: a diagonal s(z)
-    equal on each pair {i, J i} and distinct across Pi images, and the identity
-    with one entry and its J image moved by 1e-6; moved by 1e-13 it is solved."""
-    n_max, z = 4, 0.5
-    j, fixed, pairs = _ket_bra_swap(n_max)
-    dim = len(j)
-    params = WalkParams(0.6, 0.3)
-    diag = np.empty(dim)
-    for value, orbit in zip(np.geomspace(1.0, 1e-3, dim), [[i] for i in fixed] + pairs):
-        diag[list(orbit)] = value
-    mat = np.diag(diag)
-    assert np.array_equal(mat, mat[np.ix_(j, j)])
-    _inject_stieltjes(monkeypatch, z, n_max, mat)
-    with pytest.raises(ConsistencyError, match="reflection"):
-        recurrence_estimate(params, z, n_max, 64)
-    origin = 4 * cross_basis(n_max).index((0, 0))
-    i, k = origin + 1, 4 * cross_basis(n_max).index((2, 0))  # e_(R,L) at the origin and (2, 0)
-    for shift in (1e-13, 1e-6):
-        mat = np.eye(dim)
-        mat[i, k] += shift
-        mat[j[i], j[k]] += shift
-        assert np.array_equal(mat, mat[np.ix_(j, j)])
-        _inject_stieltjes(monkeypatch, z, n_max, mat)
-        if shift < genfun._SWAP_TOL:
-            assert recurrence_estimate(params, z, n_max, 64) == pytest.approx(0.0, abs=1e-12)
-        else:
-            with pytest.raises(ConsistencyError, match="reflection"):
+    for model in (Model.BALANCED, Model.CORRELATED):
+        params = WalkParams(0.6, 0.3, model)
+        unmoved = recurrence_estimate(params, z, n_max, 64)
+        with monkeypatch.context() as m:
+            m.setattr(genfun, "_eta_parts", moved(1e-13))
+            assert recurrence_estimate(params, z, n_max, 64) == pytest.approx(unmoved, abs=1e-12)
+            m.setattr(genfun, "_eta_parts", moved(1e-6))
+            message = r"ket-bra swap: \|s - JsJ\| = 5\.000e-07"
+            with pytest.raises(ConsistencyError, match=message):
                 recurrence_estimate(params, z, n_max, 64)
-    point = z_sweep(params, [z], n_max, 64)[0]
-    assert math.isnan(point.value) and point.error.startswith("ConsistencyError")
+            with pytest.raises(ConsistencyError, match=message):
+                stieltjes_matrix(kraus_family(params), z, n_max, 64)
+            point = z_sweep(params, [z], n_max, 64)[0]
+            assert math.isnan(point.value) and point.error.startswith("ConsistencyError")
 
 
 def test_default_tables_fold_131_blocks_and_split_four_ways():
@@ -698,27 +672,43 @@ def test_default_tables_fold_131_blocks_and_split_four_ways():
 
 @pytest.mark.parametrize("model", [Model.BALANCED, Model.CORRELATED])
 def test_fold_pair_checks_equal_the_dense_checks(model):
-    """The renewal checks J and Pi on the pairs of distinct fold values that
-    s - J s J and s - Pi s Pi^T compare (132 and 136 ordered pairs at
-    n_max = 20), and takes the peak as max |F|: all three equal the maxima
-    read from the dense s(z), and the renewal of the fold equals, bit for
-    bit, the renewal of the dense s(z) (values [s, -s], identity index)."""
-    renewal = genfun._tables(20, genfun.DEFAULT_GRID).renewal
-    assert renewal.swap.shape == (2, 132) and renewal.reflect.shape == (2, 136)
-    j = _ket_bra_swap(20)[0]
-    for theta in (0.0, 0.3, math.pi / 4, 1.1, math.pi / 2):
-        for p in (0.0, 0.35, 1.0):
-            for z in (0.05, 0.5, 0.999, Z_CAP):
-                s = stieltjes_matrix(kraus_family(WalkParams(theta, p, model)), z, 20)
-                mat = s.matrix
-                for pairs, dense in ((renewal.swap, mat[np.ix_(j, j)]),
-                                     (renewal.reflect, _reflected(mat, 20))):
-                    pair = s.values[pairs]
-                    assert np.max(np.abs(pair[0] - pair[1])) == np.max(np.abs(mat - dense))
-                assert s.values.max() == max(mat.max(), -mat.min())
-                dense = _dense_stieltjes(z, 20, mat)
-                assert genfun._split_renewal(s.values, s.renewal) == genfun._split_renewal(
-                    dense.values, dense.renewal)
+    """The fold checks J on the pairs of n = 0 fold entries that s - J s J
+    compares (132 at n_max = 20), and takes the peak as max |F|: both equal
+    the maxima read from the dense s(z) at n_max = 2, 4 and 20, and the
+    renewal of the fold equals, bit for bit, the renewal of the dense s(z)
+    (values [s, -s], identity index)."""
+    assert genfun._tables(20, genfun.DEFAULT_GRID).fold.swap.shape == (2, 132)
+    for n_max in (2, 4, 20):
+        swap = genfun._tables(n_max, genfun.DEFAULT_GRID).fold.swap
+        j = _ket_bra_swap(n_max)[0]
+        for theta in (0.0, 0.3, math.pi / 4, 1.1, math.pi / 2):
+            for p in (0.0, 0.35, 1.0):
+                for z in (0.05, 0.5, 0.999, Z_CAP):
+                    s = stieltjes_matrix(kraus_family(WalkParams(theta, p, model)), z, n_max)
+                    mat = s.matrix
+                    pair = s.values[swap]
+                    asymmetry = np.max(np.abs(mat - mat[np.ix_(j, j)]))
+                    assert np.max(np.abs(pair[0] - pair[1])) == asymmetry
+                    assert np.max(np.abs(s.values)) == np.max(np.abs(mat))
+                    dense = _dense_stieltjes(z, n_max, mat)
+                    assert genfun._split_renewal(s.values, s.renewal) == genfun._split_renewal(
+                        dense.values, dense.renewal)
+
+
+@settings(deadline=None, max_examples=10)
+@given(
+    st.floats(0.0, math.pi / 2),
+    st.floats(0.0, 1.0),
+    st.floats(Z_MIN, Z_CAP),
+    st.sampled_from([Model.BALANCED, Model.CORRELATED]),
+    st.sampled_from([2, 4, 20]),
+)
+def test_stieltjes_commutes_with_reflection_property(theta, p, z, model, n_max):
+    """s(z) = Pi s(z) Pi^T bit for bit, which the fold holds by construction and
+    so never checks at run time: the a < 0 blocks are signed gathers of their
+    images, and the a = 0 blocks are averaged with theirs."""
+    mat = stieltjes_matrix(kraus_family(WalkParams(theta, p, model)), z, n_max).matrix
+    assert np.array_equal(mat, _reflected(mat, n_max))
 
 
 def test_warm_default_point_heap_stays_small():
