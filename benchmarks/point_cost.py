@@ -11,9 +11,12 @@ best over the processes, in ms:
 
     eta        genfun._eta_parts, the closed-form eta coefficients
     stieltjes  genfun.stieltjes_matrix: eta, the xi fold and its index
-    fold       stieltjes - eta: the xi fold and its ket-bra swap check
+    fold       stieltjes - eta: the xi fold, its ket-bra swap check and average
     renewal    genfun._split_renewal: the blocks, the inverse and kappa_1
     point      genfun.recurrence_estimate
+    tables     genfun._tables(20, 384) built cold: its cache and
+               _signed_index's are cleared before each call (own loop, after
+               the stages above)
 
 Each process also runs perfbench's recur workload at seed SEED with
 perfbench/run.py's run_pass, one warm pass and then PASSES passes, and
@@ -68,6 +71,13 @@ def _child(src: str) -> dict:
             start = time.perf_counter()
             stage()
             best[name] = min(best[name], time.perf_counter() - start)
+    best["tables"] = math.inf
+    for _ in range(CALLS):
+        genfun._tables.cache_clear()
+        genfun._signed_index.cache_clear()
+        start = time.perf_counter()
+        genfun._tables(n_max, genfun.DEFAULT_GRID)
+        best["tables"] = min(best["tables"], time.perf_counter() - start)
     costs = {name: 1e3 * value for name, value in best.items()}
     costs["fold"] = costs["stieltjes"] - costs["eta"]
 

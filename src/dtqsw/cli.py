@@ -4,7 +4,8 @@ Every figure-style dataset is produced by one subcommand; plotting is a
 separate concern (the CSV is diffable and byte-identical across runs and
 worker counts). Exit codes: 0 success, 1 usage/config error, 2 partial
 per-point numerical failure (failed rows carry value=nan and the error
-column, "Type: message" with any "," written as ";").
+column, "Type: message" with any "," written as ";"; a fit group that
+cannot be fitted gets nan in every fitted column and is named on stderr).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import genfun, oracles
 from .directsim import return_series
-from .errors import DtqswError
+from .errors import DtqswError, FitDegenerateError
 from .fitting import FitForm, find_minimum, fit_power_law
 from .model import Model, WalkParams
 from .perturbation import NONUNIFORM_THETA_WARNING, slope_series
@@ -219,14 +220,19 @@ def cmd_fit(args) -> int:
             raise _UsageError(f"{args.input}: {exc} at line {line_no}") from exc
     form = FitForm(args.form)
     lines = ["model,theta,p,form,a,a_err,b,b_err,c,c_err,residual_norm"]
+    failed = False
     for (model, theta, p), pts in sorted(groups.items()):
-        fit = fit_power_law(pts, form)
-        lines.append(",".join(_fmt(v) for v in (
-            model, theta, p, form.value, fit.a_fit, fit.a_err,
-            fit.b_fit, fit.b_err, fit.c_fit, fit.c_err, fit.residual_norm,
-        )))
+        try:
+            fit = fit_power_law(pts, form)
+            fitted = (fit.a_fit, fit.a_err, fit.b_fit, fit.b_err, fit.c_fit, fit.c_err,
+                      fit.residual_norm)
+        except FitDegenerateError as exc:  # this group only: its row is nan, exit 2
+            print(f"error: fit of {model} theta={_fmt(theta)} p={_fmt(p)}: {exc}",
+                  file=sys.stderr)
+            failed, fitted = True, (math.nan,) * 7
+        lines.append(",".join(_fmt(v) for v in (model, theta, p, form.value, *fitted)))
     _emit(lines, args.out)
-    return 0
+    return 2 if failed else 0
 
 
 def cmd_minima(args) -> int:

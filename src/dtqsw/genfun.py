@@ -73,18 +73,19 @@ transpose of rho), and J commutes with Pi. J can break only by rounding and
 only in the n = 0 blocks, F(a, 0) against P F(a, 0) P; every other block
 reads the fold entries its J image reads. The fold refuses with
 ConsistencyError an s(z) that differs from J s(z) J by more than 1e-9 of
-max |F| (rounding leaves under 1e-11) on those 132 entry pairs at n_max = 20.
-On the joint (J, Pi) eigenvectors s(z) splits into four blocks, 41, 42, 41
-and 40 rows at n_max = 20, one per orbit representative of the group
-{1, Pi, J, J Pi} that each holds. The renewal reads the fold, not the dense
-s(z), and is linear algebra alone: it inverts the four blocks of the group
-average, one signed gather (4 x 42 x 42) of the orbit sums of the fold
-values of s(z) - I, in one call on a stack padded with the identity. The
-source e_(R,R,0,0) is half in the (J+, Pi+) block, which holds
-(e_(R,R) + e_(L,L)) / sqrt 2, so w comes from that block, and the exact
-kappa_1 = |s|_1 |s^-1|_1 is read from the four inverses in O(dim^2). The
-guard refuses dim kappa_1 > 1e14: |A|_2 <= sqrt(dim) |A|_1, so
-kappa_2 <= dim kappa_1, and it refuses every s(z) a kappa_2 limit would.
+max |F| (rounding leaves under 1e-11) on those 132 entry pairs at n_max = 20,
+then sets each pair to its mean (x + y) / 2, so s(z) commutes with the group
+{1, Pi, J, J Pi} bit for bit. On the joint (J, Pi) eigenvectors it splits
+into four blocks, 41, 42, 41 and 40 rows at n_max = 20, one per orbit
+representative that each holds. The renewal reads the fold, not the dense
+s(z), and is linear algebra alone: it inverts the four blocks, one signed
+gather (4 x 42 x 42) of the fold values of s(z) - I, in one call on a stack
+padded with the identity. The source e_(R,R,0,0) is half in the (J+, Pi+)
+block, which holds (e_(R,R) + e_(L,L)) / sqrt 2, so w comes from that
+block, and the exact kappa_1 = |s|_1 |s^-1|_1 is read from the four
+inverses in O(dim^2). The guard refuses dim kappa_1 > 1e14: |A|_2 <=
+sqrt(dim) |A|_1, so kappa_2 <= dim kappa_1, and it refuses every s(z) a
+kappa_2 limit would.
 """
 
 from __future__ import annotations
@@ -353,10 +354,9 @@ def _fold_pairs(n_max):
 class _Renewal(NamedTuple):
     """The renewal's tables for one signed index of s(z) into values = [F, -F]."""
 
-    orbit: np.ndarray  # (4, M): signed values of g e, g = 1, Pi, J, J Pi, per orbit sum
-    unit: np.ndarray  # (4, M): the entries of I at them
-    gather: np.ndarray  # (k, r, o): the orbit sum of entry e = (r, k o)
-    scale: np.ndarray  # (c, r, o): 1 / (4 |fix o|) where block c holds r and o, else 0
+    at: np.ndarray  # (k, r, o): the signed index of entry e = (r, k o), with the sign of k o
+    unit: np.ndarray  # (k, r, o): the entry of I at e, with that sign
+    scale: np.ndarray  # (c, r, o): 1 / |fix o| where block c holds r and o, else 0
     pad: np.ndarray  # (c, r, r): 1 where block c does not hold r
     fix: np.ndarray  # |fix r|, the group elements that fix representative r
 
@@ -376,31 +376,19 @@ def _renewal_tables(index, n):
     # element 2 j + pi is J^j Pi^pi: e_i -> sign e_perm(i); the group law is XOR
     perm = np.stack([np.arange(dim), reflect, swap, swap[reflect]])
     signs = np.stack([np.ones(dim), sign, np.ones(dim), sign])
-
-    def image(g, rows, cols, negative=False):  # the signed values at (g rows, g cols)
-        at = index[perm[g, rows], perm[g, cols]]
-        flip = negative ^ (signs[g, rows] < 0) ^ (signs[g, cols] < 0)
-        np.add(at, n, out=at, where=flip)
-        return np.remainder(at, 2 * n, out=at)
-
     # the least index of each orbit, the origin's e_(R,R) and e_(R,L) first
     origin, least = 4 * where[0, 0], np.flatnonzero(perm.min(axis=0) == np.arange(dim))
     reps = np.concatenate([[origin, origin + 1], least[(least != origin) & (least != origin + 1)]])
     image_of, image_sign = perm[:, reps], signs[:, reps]  # (g, r)
     fixed = image_of == reps
     held = np.all(~fixed | (_CHARACTERS[:, :, None] * image_sign == 1), axis=1)  # (c, r)
-    # e = (r, k o) with the sign of k o. The fold's index maps an entry's orbit to its value's
-    # and reads the diagonal's values nowhere else: one orbit sum of s - I per value of e
-    entries = image(0, reps[:, None], image_of[:, None, :], image_sign[:, None, :] < 0)
-    _, first, gather = np.unique(entries, return_index=True, return_inverse=True)
-    k, r, o = np.unravel_index(first, entries.shape)
-    orbit = np.stack([image(g, reps[r], image_of[k, o], image_sign[k, o] < 0) for g in range(4)])
-    diagonal = index.diagonal()
-    unit = np.isin(orbit, diagonal) - np.isin(orbit, (diagonal + n) % (2 * n)).astype(float)
+    # e = (r, k o) with the sign of k o: the value's index moves by n where the sign is -1
+    at = (index[reps[:, None], image_of[:, None, :]] + n * (image_sign[:, None, :] < 0)) % (2 * n)
+    unit = np.where(image_of[:, None, :] == reps[:, None], image_sign[:, None, :], 0.0)
     fix = fixed.sum(axis=0).astype(float)
-    scale = np.where(held[:, :, None] & held[:, None, :], 1 / (4 * fix), 0.0)
+    scale = np.where(held[:, :, None] & held[:, None, :], 1 / fix, 0.0)
     pad = np.eye(len(reps)) * ~held[:, None, :]
-    return _Renewal(orbit, unit, gather.reshape(entries.shape), scale, pad, fix)
+    return _Renewal(at, unit, scale, pad, fix)
 
 
 class _Tables(NamedTuple):
@@ -416,7 +404,7 @@ def _table_bytes(n_max, grid_n):
     32 (dim + 4)^2 + 24 (n_max + 1) grid_n + 1 MiB, dim = 4 (2 n_max + 1).
 
     The signed index of s(z) is dim^2 int64 (dim is the size of s(z)), and
-    building it holds about three more; the renewal's gather, orbit sums,
+    building it holds about three more; the renewal's index, unit entries,
     scales and pads are dim^2 / 4 entries each, and the xi rows about three
     (n_max + 1) x grid_n / 2 complex arrays. Traced peaks at grid 384 are
     30 dim^2 from n_max = 100 on (306 MB at n_max = 400, 0.92 of the figure).
@@ -463,8 +451,9 @@ def _signed_index(n_max):
 def _fold(blocks, z, tables):
     """[F, -F], F the flat xi fold of the blocks (a, n) of tables.fold: 2 Re
     sum_xi w exp(i a xi) H_n(xi) over the first-half nodes, the a = 0 blocks
-    averaged with their reflection images, so that s(z) commutes with Pi bit
-    for bit. ConsistencyError when s(z) differs from J s(z) J on fold.swap by
+    averaged with their reflection images and the fold.swap pairs with their
+    J images, so that s(z) commutes with Pi and J bit for bit. ConsistencyError
+    when, before the J average, s(z) differs from J s(z) J on fold.swap by
     more than _SWAP_TOL of max |F|. blocks are the family's _laurent_blocks."""
     phase, phases, fold = tables.phase, tables.phases, tables.fold
     h0, h1, b = _eta_parts(blocks, z, phase)
@@ -502,6 +491,8 @@ def _fold(blocks, z, tables):
     if value > _SWAP_TOL * np.max(np.abs(flat)):
         raise ConsistencyError(
             f"s(z) is not symmetric under the ket-bra swap: |s - JsJ| = {value:.3e}")
+    # swap holds each pair both ways and x + y rounds as y + x: J holds bit for bit, and Pi too
+    flat[fold.swap[0]] = (flat[fold.swap[0]] + flat[fold.swap[1]]) / 2
     return np.concatenate([flat, -flat])
 
 
@@ -576,22 +567,20 @@ def _split_renewal(values, renewal):
     the four (J, Pi) blocks of s = values[index], renewal the _Renewal of index.
 
     Each of the 41, 42, 41 and 40 rows of the blocks at n_max = 20 is an orbit
-    representative r. s commutes with Pi by construction and with J within
-    _SWAP_TOL, which _fold checks, and is replaced by its group average, whose
-    block c is 1/(4 |fix o|) sum_k chi_c(k) O(r, k o) in the coordinates v[r],
-    O(e) = sum_g sign (s - I)[g e] the orbit sum of entry e, formed once per
-    value and gathered. The inverse is one np.linalg.inv on the stack, each
+    representative r. _fold makes s commute with {1, Pi, J, J Pi} bit for
+    bit, so block c is 1/|fix o| sum_k chi_c(k) (s - I)(r, k o) in the
+    coordinates v[r], the entries (r, k o) one signed gather of the fold
+    values. The inverse is one np.linalg.inv on the stack, each
     block padded with the identity. The (J+, Pi+) block holds
     (e_(R,R) + e_(L,L)) / sqrt 2 at the origin, so w is its inverse's first
     entry; the blocks are summed from s - I, and 1 - w = [(s - I) s^-1]_00,
     so that at small z, where s - I is O(z), the rounding stays relative to
     s - I. kappa_1 is exact (_orbit_norms).
     """
-    terms = values[renewal.orbit]
+    terms = values[renewal.at]
     terms -= renewal.unit
-    sums = ((terms[0] + terms[1]) + (terms[2] + terms[3]))[renewal.gather]
-    # block c of s - I sums chi_c(k) O(r, k o) over k
-    blocks = (_CHARACTERS @ sums.reshape(4, -1)).reshape(sums.shape) * renewal.scale
+    # block c of s - I sums chi_c(k) (s - I)(r, k o) over k
+    blocks = (_CHARACTERS @ terms.reshape(4, -1)).reshape(terms.shape) * renewal.scale
     system = blocks + np.eye(len(renewal.fix))
     both = np.stack([system, np.linalg.inv(system)])
     q = blocks[0, 0] @ both[1, 0, :, 0]

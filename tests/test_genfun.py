@@ -537,10 +537,11 @@ def _inject_stieltjes(monkeypatch, z, n_max, mat):
 
 @pytest.mark.parametrize("model", [Model.BALANCED, Model.CORRELATED])
 def test_stieltjes_commutes_with_ket_bra_swap(model):
-    """s(z) = J s(z) J within the split's tolerance, J the ket-bra swap (the
-    Hermiticity of rho), and s(z) = Pi s(z) Pi^T bit for bit, Pi the reflection
-    (a < 0 blocks are gathered from their images, a = 0 blocks averaged with
-    theirs), over the edges of the validated domain."""
+    """s(z) = J s(z) J bit for bit, J the ket-bra swap (the Hermiticity of rho;
+    the fold averages the n = 0 entry pairs J moves after it checks them), and
+    s(z) = Pi s(z) Pi^T bit for bit, Pi the reflection (a < 0 blocks are
+    gathered from their images, a = 0 blocks averaged with theirs), over the
+    edges of the validated domain."""
     j, fixed, pairs = _ket_bra_swap(20)
     assert list(fixed) == [4 * cross_basis(20).index((0, 0)) + pair for pair in (0, 3)]
     assert len(pairs) == 81
@@ -548,8 +549,7 @@ def test_stieltjes_commutes_with_ket_bra_swap(model):
         for p in (0.0, 0.35, 1.0):
             for z in (0.5, Z_CAP):
                 mat = stieltjes_matrix(kraus_family(WalkParams(theta, p, model)), z, 20).matrix
-                asymmetry = np.max(np.abs(mat - mat[np.ix_(j, j)]))
-                assert asymmetry <= genfun._SWAP_TOL * np.max(np.abs(mat))
+                assert np.array_equal(mat, mat[np.ix_(j, j)])
                 assert np.array_equal(mat, _reflected(mat, 20))
 
 
@@ -557,8 +557,8 @@ def test_stieltjes_commutes_with_ket_bra_swap(model):
 def test_split_renewal_matches_full_inverse(model):
     """R~ from the four (J, Pi) blocks is within 1e-12 of R~ read from a plain
     164 x 164 inverse, and |s|_1 |s^-1|_1 from the blocks within 1e-9 of the
-    plain kappa_1. theta = 1.1, p = 0, z = Z_CAP is where s(z) is least
-    J-symmetric: the blocks are those of its group average."""
+    plain kappa_1. theta = 1.1, p = 0, z = Z_CAP is where the fold's s(z) is
+    least J-symmetric before the fold averages the J pairs."""
     for theta in (0.0, math.pi / 4, 1.1, math.pi / 2):
         for p in (0.0, 0.35, 1.0):
             for z in (0.5, Z_CAP):
@@ -673,22 +673,21 @@ def test_default_tables_fold_131_blocks_and_split_four_ways():
 @pytest.mark.parametrize("model", [Model.BALANCED, Model.CORRELATED])
 def test_fold_pair_checks_equal_the_dense_checks(model):
     """The fold checks J on the pairs of n = 0 fold entries that s - J s J
-    compares (132 at n_max = 20), and takes the peak as max |F|: both equal
-    the maxima read from the dense s(z) at n_max = 2, 4 and 20, and the
-    renewal of the fold equals, bit for bit, the renewal of the dense s(z)
-    (values [s, -s], identity index)."""
+    compares (132 at n_max = 20), then averages them: the dense s(z) is
+    J-symmetric bit for bit at n_max = 2, 4 and 20, the check's peak max |F|
+    equals max |s(z)|, and the renewal of the fold equals, bit for bit, the
+    renewal of the dense s(z) (values [s, -s], identity index). The check's
+    value before the average is pinned by
+    test_non_swap_symmetric_stieltjes_is_refused."""
     assert genfun._tables(20, genfun.DEFAULT_GRID).fold.swap.shape == (2, 132)
     for n_max in (2, 4, 20):
-        swap = genfun._tables(n_max, genfun.DEFAULT_GRID).fold.swap
         j = _ket_bra_swap(n_max)[0]
         for theta in (0.0, 0.3, math.pi / 4, 1.1, math.pi / 2):
             for p in (0.0, 0.35, 1.0):
                 for z in (0.05, 0.5, 0.999, Z_CAP):
                     s = stieltjes_matrix(kraus_family(WalkParams(theta, p, model)), z, n_max)
                     mat = s.matrix
-                    pair = s.values[swap]
-                    asymmetry = np.max(np.abs(mat - mat[np.ix_(j, j)]))
-                    assert np.max(np.abs(pair[0] - pair[1])) == asymmetry
+                    assert np.array_equal(mat, mat[np.ix_(j, j)])
                     assert np.max(np.abs(s.values)) == np.max(np.abs(mat))
                     dense = _dense_stieltjes(z, n_max, mat)
                     assert genfun._split_renewal(s.values, s.renewal) == genfun._split_renewal(
@@ -704,11 +703,14 @@ def test_fold_pair_checks_equal_the_dense_checks(model):
     st.sampled_from([2, 4, 20]),
 )
 def test_stieltjes_commutes_with_reflection_property(theta, p, z, model, n_max):
-    """s(z) = Pi s(z) Pi^T bit for bit, which the fold holds by construction and
-    so never checks at run time: the a < 0 blocks are signed gathers of their
-    images, and the a = 0 blocks are averaged with theirs."""
+    """s(z) = Pi s(z) Pi^T and s(z) = J s(z) J bit for bit, which the fold holds
+    by construction: the a < 0 blocks are signed gathers of their images, the
+    a = 0 blocks are averaged with theirs, and the n = 0 entry pairs that J
+    moves are averaged after the fold checks them."""
     mat = stieltjes_matrix(kraus_family(WalkParams(theta, p, model)), z, n_max).matrix
     assert np.array_equal(mat, _reflected(mat, n_max))
+    j = _ket_bra_swap(n_max)[0]
+    assert np.array_equal(mat, mat[np.ix_(j, j)])
 
 
 def test_warm_default_point_heap_stays_small():
