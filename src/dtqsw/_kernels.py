@@ -2,9 +2,9 @@
 
 USING_NUMBA is always False: the kernels have no compiled variant. The
 name stays because the benchmark's provenance record reads it. invert_grid_4x4
-is the pointwise resolvent's inverse and, in the quadrature, the one
-batched inverse of A0 over the xi nodes of each point. determinant_grid is
-a closed-form reference that the quadrature does not use.
+is the pointwise resolvent's inverse; the quadrature inverts A0 in closed
+form and calls neither kernel. determinant_grid is a closed-form reference
+that the tests check momentum_kernel against.
 """
 
 from __future__ import annotations

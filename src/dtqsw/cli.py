@@ -223,6 +223,8 @@ def cmd_fit(args) -> int:
     failed = False
     for (model, theta, p), pts in sorted(groups.items()):
         try:
+            if len(pts) < 4:  # fit_power_law's ParameterError would end the run: this group only
+                raise FitDegenerateError("need at least 4 points")
             fit = fit_power_law(pts, form)
             fitted = (fit.a_fit, fit.a_err, fit.b_fit, fit.b_err, fit.c_fit, fit.c_err,
                       fit.residual_norm)

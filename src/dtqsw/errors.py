@@ -15,10 +15,10 @@ class OutOfValidatedRangeError(ParameterError):
 
 class UnsupportedFamilyError(DtqswError):
     """Kraus family that a generating-function routine cannot take: complex coin
-    blocks, cross shift blocks of rank > 1, or shift blocks without the
-    reflection symmetry M_-s,-s' = (G x G) M_s,s' (G x G)^T, G = [[0, 1], [-1, 0]]
-    in (R, L). Every family the library builds has real blocks of rank <= 1 and
-    the reflection; directsim runs any family."""
+    blocks, shift blocks without the coin-pair rows (M+- nonzero off row (R,L),
+    or rows (R,L), (L,R) of M++ other than alpha e_RL, alpha e_LR), or without
+    the reflection M_-s,-s' = (G x G) M_s,s' (G x G)^T, G = [[0, 1], [-1, 0]] in
+    (R, L). Every family the library builds has both; directsim runs any family."""
 
 
 class TruncationError(DtqswError):
@@ -35,8 +35,8 @@ class ConsistencyError(DtqswError):
 
 class SingularKernelError(DtqswError):
     """I - zV is singular where it is inverted: the pointwise resolvent, the
-    A0 inverse at a xi node, or an eta root of the closed-form coefficients
-    on or outside the unit circle."""
+    closed-form A0 inverse at a xi node, or an eta root of the closed-form
+    coefficients on or outside the unit circle."""
 
 
 class ConditioningError(DtqswError):

@@ -12,11 +12,11 @@ model.shift_blocks, at each xi
     I - zV = A0 + A_-1 exp(-i eta) + A_1 exp(i eta),
     A0 = I - z (M++ exp(-i xi) + M-- exp(i xi)),  A_-1 = -z M+-,  A_1 = -z M-+,
 
-a matrix Laurent polynomial of degree +-1 in exp(i eta). Only the coined
-operator S(C x I) carries both shifts, and its blocks have one nonzero row
-each, so the cross blocks have rank one (zero at p=1): A_-1 = u1 v1^T and
-A_1 = u2 v2^T. With L = A0^-1 [u1 u2], R = [v1 v2]^T A0^-1 and
-W = [v1 v2]^T L, the Woodbury identity gives
+a matrix Laurent polynomial of degree +-1 in exp(i eta). In every family
+the library builds, M+- lives on row (R,L) and M-+ on row (L,R) (zero at
+p=1), so A_-1 = u1 v1^T and A_1 = u2 v2^T with u1 = -z e_RL, u2 = -z e_LR;
+and rows (R,L), (L,R) of M++ and M-- are alpha e_RL, alpha e_LR. With
+L = A0^-1 [u1 u2], R = [v1 v2]^T A0^-1 and W = [v1 v2]^T L, Woodbury gives
 
     (I - zV)^-1 = A0^-1 - L (D^-1 + W)^-1 R,  D = diag(exp(-i eta), exp(i eta)),
 
@@ -32,10 +32,10 @@ E0 = adj W, E+ = diag(0, 1), E- = diag(1, 0), and P the coin-pair swap
 (c, c') -> (c', c), which maps M+- to M-+ for real coin blocks. For real
 blocks det(I - zV) is even in eta, so where it does not vanish on the
 circle one root of the quadratic lies inside it and one outside, and
-|a|, |b| < 1. A xi node costs one batched 4 x 4 inverse and a few 2 x 2
-products at any z. A family with complex coin blocks, with shift blocks
-that miss the reflection symmetry below, or with a cross block of rank > 1
-raises UnsupportedFamilyError before any work.
+|a|, |b| < 1. In the order (RR, LL | RL, LR), A0 = [[T, Q], [0, g I]] is block
+triangular: _eta_parts inverts it in closed form on node vectors, H0 and H1
+node-last (16, n). A family with complex coin blocks, or whose shift blocks
+miss those rows or the reflection symmetry below, is refused before any work.
 
 The one quadrature is over xi: Sidi's sin^8 substitution, xi = s -
 (4/5) sin 2s + (1/5) sin 4s - (4/105) sin 6s + (1/280) sin 8s, whose
@@ -191,26 +191,19 @@ def _subst_grid(grid_n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return k, np.copysign(xi_h, m), (128.0 / 35.0) * np.sin(h) ** 8 / grid_n
 
 
-def _rank_one(m):
-    """(u, v) with m = u v^T; UnsupportedFamilyError when m has rank > 1."""
-    u, s, vt = np.linalg.svd(m)
-    if s[1] > 4 * np.finfo(float).eps * s[0]:
-        raise UnsupportedFamilyError(
-            f"cross shift block of rank > 1 (singular values {s[0]:.3g}, {s[1]:.3g}): "
-            "the closed-form eta coefficients need rank <= 1"
-        )
-    return u[:, 0] * s[0], vt[0]
-
-
 @functools.lru_cache(maxsize=32)
 def _laurent_blocks(family):
-    """M++, M-- and rank-one factors (u, v) of M+- and M-+, from model.shift_blocks.
+    """(outer, inner, alpha, v) from model.shift_blocks: rows (R,R) and (L,L) of M++
+    and of M-- as (2, 4, 1); alpha, with rows (R,L) and (L,R) alpha e_RL and alpha
+    e_LR in both; and v = [v1 v2]^T, with M+- = e_RL v1^T and M-+ = e_LR v2^T.
 
     Raises UnsupportedFamilyError for complex coin blocks (conjugate-node
     fold, coin-pair swap), for blocks without the reflection symmetry
     M_-s,-s' = K M_s,s' K^T, K = G x G (the a >= 0 fold and the four-block
-    renewal), or for a cross block of rank > 1. The blocks are kept, read-only,
-    per family object for the 32 most recent; a refused family raises, so is never kept.
+    renewal), or for blocks without those coin-pair rows (the closed-form A0
+    inverse; a cross block of rank > 1 has two nonzero rows). The blocks are
+    kept, read-only, per family object for the 32 most recent; a refused
+    family raises, so is never kept.
     """
     if not family.is_real:
         raise UnsupportedFamilyError(
@@ -225,63 +218,77 @@ def _laurent_blocks(family):
         np.max(np.abs(image - signs * m[np.ix_(_REFLECT, _REFLECT)]))
         for m, image in ((m_pp, m_mm), (m_pm, m_mp))
     )
-    if residual > 4 * np.finfo(float).eps * max(np.max(np.abs(m_pp)), np.max(np.abs(m_pm))):
+    tol = 4 * np.finfo(float).eps * max(np.max(np.abs(m_pp)), np.max(np.abs(m_pm)))
+    if residual > tol:
         raise UnsupportedFamilyError(
             f"shift blocks not symmetric under the reflection (x, c) -> (-x, G c) "
             f"(residual {residual:.3g}): the a >= 0 fold and the four-block renewal need it"
         )
-    blocks = m_pp, m_mm, _rank_one(m_pm), _rank_one(m_mp)
-    for array in (m_pp, m_mm, *blocks[2], *blocks[3]):
+    # the reflection maps rows (R,L), (L,R) of M++ to rows (L,R), (R,L) of M--, M+- to M-+
+    alpha, off_row = m_pp[1, 1], np.delete(m_pm, 1, axis=0)
+    residual = max(np.max(np.abs(m_pp[1:3] - alpha * np.eye(4)[1:3])), np.max(np.abs(off_row)))
+    if residual > tol:
+        raise UnsupportedFamilyError(
+            f"shift blocks without the coin-pair rows (residual {residual:.3g}): the closed-form "
+            "A0 inverse needs rows alpha e_RL, e_LR in M++ and M+- of rank <= 1 on row (R,L)")
+    blocks = m_pp[::3, :, None], m_mm[::3, :, None], alpha, np.stack([m_pm[1], m_mp[2]])
+    for array in (blocks[0], blocks[1], blocks[3]):
         array.flags.writeable = False
     return blocks
 
 
 def _eta_parts(blocks, z, phase):
-    """(H0, H1, b) on the nodes phase = exp(-i xi), shapes (n, 4, 4) twice and (n,).
+    """(H0, H1, b) on the nodes phase = exp(-i xi), node-last: (16, n) twice, entry
+    (c, c') in row 4 c + c', and (n,).
 
     blocks are the _laurent_blocks of the family. H_n = b^(n-1) H1 for
-    n >= 1 multiplies exp(i n eta) in (I - zV)^-1, and H_-n = P H_n P.
+    n >= 1 multiplies exp(i n eta) in (I - zV)^-1, and H_-n = P H_n P. In
+    the order (RR, LL | RL, LR), A0 = [[T, Q], [0, g I]], g = 1 - z alpha
+    (exp(i xi) + exp(-i xi)), so A0^-1 = [[T^-1, -T^-1 Q / g], [0, I / g]]
+    with T^-1 = adj T / det T. SingularKernelError where det T, its pivot
+    t00 or g is 0 or not finite.
     """
-    m_pp, m_mm, (u1, v1), (u2, v2) = blocks
-    phase = phase[:, None, None]
-    a0 = np.eye(4) - z * (m_pp * phase + m_mm * phase.conj())
-    # A_-1 = u[:, 0] v[:, 0]^T and A_1 = u[:, 1] v[:, 1]^T, the columns of u scaled by -z
-    u, v = -z * np.stack([u1, u2], axis=1), np.stack([v1, v2], axis=1)
-    try:
-        a0_inv = invert_grid_4x4(a0)
-    except np.linalg.LinAlgError as exc:
-        raise SingularKernelError(f"A0 is singular on the xi grid at z={z}: {exc}") from exc
-    left = np.tensordot(a0_inv, u, axes=(2, 0))  # L = A0^-1 u
-    right = np.tensordot(a0_inv, v, axes=(1, 0)).transpose(0, 2, 1)  # R = v^T A0^-1
-    w = np.tensordot(right, u, axes=(2, 0))  # W = R u
-    w11, w12, w21, w22 = w[:, 0, 0], w[:, 0, 1], w[:, 1, 0], w[:, 1, 1]
-    # det(W + diag(exp(i eta), exp(-i eta))) = kappa (1 - a exp(-i eta)) (1 - b exp(i eta))
-    delta = 1 + w11 * w22 - w12 * w21
-    root = np.sqrt(delta * delta - 4 * w11 * w22)
-    kappa = (delta + np.where((delta.conj() * root).real < 0, -root, root)) / 2
+    outer, inner, alpha, v = blocks
+    # rows (R,R) and (L,L) of A0, [T | Q] in the columns RR, RL, LR, LL: (2, 4, n)
+    rows = np.eye(4)[::3, :, None] - z * (outer * phase + inner * phase.conj())
+    (t00, t03), (t30, t33) = rows[:, ::3]
+    det, g = t00 * t33 - t03 * t30, 1 - 2 * z * alpha * phase.real
+    if not np.all(np.isfinite(pivots := np.stack([det, g, t00])) & (pivots != 0)):
+        raise SingularKernelError(f"A0 is singular on the xi grid at z={z}")
+    a0_inv, rdet, rg = np.zeros((4, 4, len(phase)), dtype=complex), 1 / det, 1 / g
+    a0_inv[::3, ::3] = np.array([[t33, -t03], [-t30, t00]]) * rdet
+    a0_inv[1, 1] = a0_inv[2, 2] = rg
+    # T^-1 Q: row LL by Cramer, row RR from it through the pivot t00 (|t00| >= 1 - z + |t30|
+    # when the family preserves trace). Its error then lies along T's near-null direction,
+    # which v^T cancels in W; adj T Q / det T would cost 1 + det W (~1e-5 at a crest) 1e-7
+    a0_inv[3, 1:3] = (t30 * rows[0, 1:3] - t00 * rows[1, 1:3]) * rdet
+    a0_inv[0, 1:3] = (-rows[0, 1:3] - t03 * a0_inv[3, 1:3]) / t00
+    a0_inv[::3, 1:3] *= rg
+    # A_-1 = -z e_RL v1^T and A_1 = -z e_LR v2^T: L = A0^-1 [u1 u2], R = v^T A0^-1, W = R [u1 u2]
+    left = -z * a0_inv[:, 1:3]
+    right = (v @ a0_inv.reshape(4, -1)).reshape(2, 4, -1)
+    (w11, w12), (w21, w22) = -z * right[:, 1:3]
+    # det(W + diag(exp(i eta), exp(-i eta))) = kappa (1 - a exp(-i eta)) (1 - b exp(i eta)), and
+    # kappa (1 - ab) = 2 kappa - delta is the root taken. The discriminant delta^2 - 4 A equals
+    # (1 - A - B)^2 - 4 A B, A = w11 w22, B = w12 w21, which does not cancel at A ~ 1, B ~ 0
+    prod, cross = w11 * w22, w12 * w21
+    delta, root = 1 + prod - cross, np.sqrt((1 - prod - cross) ** 2 - 4 * prod * cross)
+    root = np.where((delta.conj() * root).real < 0, -root, root)
+    kappa = (delta + root) / 2
     with np.errstate(divide="ignore", invalid="ignore"):
-        a, b = -w11 / kappa, -w22 / kappa
-        c = 1 / (kappa * (1 - a * b))
+        a, b, c = -w11 / kappa, -w22 / kappa, 1 / root
     if not (np.all(np.isfinite(c)) and np.all(np.abs(a) < 1) and np.all(np.abs(b) < 1)):
         raise SingularKernelError(
             f"I - zV has an eta root on or outside the unit circle on the xi grid at z={z}"
         )
-    # H0 = A0^-1 - L k0 R and H1 = -L k1 R, with adj W = [[w22, -w12], [-w21, w11]],
-    # k0 = c (adj W + a E+ + b E-) and k1 = c (b adj W + E+ + b^2 E-)
-    k = np.empty((2,) + w.shape, dtype=complex)
-    scale = c * np.stack([np.ones_like(b), b])
-    k[:, :, 0, 0] = scale * (w22 + b)
-    k[:, :, 0, 1] = -scale * w12
-    k[:, :, 1, 0] = -scale * w21
-    k[0, :, 1, 1] = c * (w11 + a)
-    k[1, :, 1, 1] = c * (b * w11 + 1)
-    # L k R over the node stack, term by term (the inner sums have length 2), for k0 then
-    # k1: one at a time halves the temporaries of the broadcast products
-    lkr = []
-    for part in k:
-        lk = left[:, :, :1] * part[:, None, 0] + left[:, :, 1:] * part[:, None, 1]
-        lkr.append(lk[..., :1] * right[:, None, 0] + lk[..., 1:] * right[:, None, 1])
-    return a0_inv - lkr[0], -lkr[1], b
+    # H0 = A0^-1 - X and H1 = -b X - L E+ R / kappa, X = L k0 R, with adj W = [[w22, -w12],
+    # [-w21, w11]] and E+ = diag(0, 1): k0 = c (adj W + a E+ + b E-) and k1 = b k0 + E+ / kappa
+    k0 = c * np.array([[w22 + b, -w12], [-w21, w11 + a]])
+    k0_right = k0[:, :1] * right[0] + k0[:, 1:] * right[1]  # the inner sums have length 2
+    x = left[:, :1] * k0_right[0] + left[:, 1:] * k0_right[1]
+    h1 = x * -b
+    h1 -= left[:, 1, None] * (right[1] / kappa)
+    return (a0_inv - x).reshape(16, -1), h1.reshape(16, -1), b
 
 
 def _block_index(d1, d2, row_of):
@@ -457,16 +464,17 @@ def _fold(blocks, z, tables):
     more than _SWAP_TOL of max |F|. blocks are the family's _laurent_blocks."""
     phase, phases, fold = tables.phase, tables.phases, tables.fold
     h0, h1, b = _eta_parts(blocks, z, phase)
-    # Re(Y H) = [Re Y, Im Y] @ [Re H; -Im H]: rows interleaved per node on both sides.
+    # Re(Y H) = [Re Y, Im Y] @ [Re H; -Im H]: rows interleaved per node on both sides, the
+    # right side the transposed float view of conj(H) (16, n).
     # Against H0 the rows are 2 w exp(i a xi), a = 0, 2, .., n_max; H0 - I is folded and
     # the a = 0 harmonic of I, exactly I, added after, so that at small z, where s(z) - I
     # is O(z), the rounding stays relative to s(z) - I
     zero_rows = phases.view(float)[::2]
     out = np.empty((fold.count, 16))
-    np.matmul(zero_rows, np.stack([h0.real - np.eye(4), -h0.imag], axis=1).reshape(-1, 16),
-              out=out[: len(zero_rows)])
+    h0[::5] -= 1  # H0 - I: rows 0, 5, 10 and 15 hold the diagonal
+    np.matmul(zero_rows, np.conj(h0).view(float).T, out=out[: len(zero_rows)])
     out[0] += np.eye(4).ravel()
-    right = np.stack([h1.real, -h1.imag], axis=1).reshape(-1, 16)
+    right = np.conj(h1).view(float).T
     del h0, h1  # each stage frees what it is done with: a point's peak heap stays small
     # powers[m] = b^m, so H_n = powers[n - 1] H1 for n >= 1. A power whose row factor
     # 2 w |b^m| is below sqrt(tiny) / eps ~ 7e-139 goes to 0, and so does a part of H1

@@ -301,6 +301,29 @@ def test_fit_constant_group_is_nan_row_exit_2(capsys, tmp_path):
     assert code == 0 and alone.strip().splitlines() == [header, quarter]
 
 
+def test_fit_short_group_is_nan_row_exit_2(capsys, tmp_path):
+    """A group left with fewer than 4 points (one row of the theta = 0 group
+    deleted) is not fitted, as a constant group is not: its row is nan, stderr
+    names it, the exit code is 2, and the theta = pi/4 group is fitted as it is
+    on its own."""
+    recur_path, alone_path = tmp_path / "recur.csv", tmp_path / "alone.csv"
+    for theta, path in (("0,0.25pi", recur_path), ("0.25pi", alone_path)):
+        code, _, _ = run_cli(capsys, "recur", "--theta", theta, "--p", "0",
+                             "--z", "0.5,0.6,0.7,0.8", "--out", str(path))
+        assert code == 0
+    lines = recur_path.read_text().splitlines()
+    short = next(i for i, line in enumerate(lines) if line.startswith("balanced,0,"))
+    recur_path.write_text("\n".join(lines[:short] + lines[short + 1:]) + "\n")
+    code, out, err = run_cli(capsys, "fit", "--input", str(recur_path))
+    assert code == 2
+    header, zero, quarter = out.strip().splitlines()
+    assert zero.split(",")[:4] == ["balanced", "0", "0", "aminusb"]
+    assert zero.split(",")[4:] == ["nan"] * 7
+    assert err == "error: fit of balanced theta=0 p=0: need at least 4 points\n"
+    code, alone, _ = run_cli(capsys, "fit", "--input", str(alone_path))
+    assert code == 0 and alone.strip().splitlines() == [header, quarter]
+
+
 @pytest.mark.parametrize("z", ["nan", "-inf"])
 def test_fit_non_finite_z_is_error(capsys, tmp_path, z):
     """A recur row with a non-finite z is refused with a typed error, no traceback."""

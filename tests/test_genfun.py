@@ -94,7 +94,7 @@ def test_eta_coefficients_vs_uniform_eta_fft():
     S(n) = (I - G^N)^-1 G^n H_0 over j >= 0 and T(n) = (I - G^N)^-1 G^(N-n) H_0
     over j >= 1, so the FFT is S(n) + P T(n) P at n >= 0 and T(m) + P S(m) P
     at n = -m. To 1e-10 absolute for z <= 0.99; above, |A| reaches ~1e4 and
-    the bound is 1e-8 of |A|."""
+    the bound is 1e-8 of |A|. _eta_parts returns H0 and H1 node-last, (16, n)."""
     n_fft, n_max = 256, 20
     eta = 2 * np.pi * np.arange(n_fft) / n_fft
     swap = [0, 2, 1, 3]
@@ -106,6 +106,7 @@ def test_eta_coefficients_vs_uniform_eta_fft():
             xi = RNG.uniform(0, 2 * np.pi, 2)
             fam = kraus_family(WalkParams(theta, p, model))
             h0, h1, b = _eta_parts(_laurent_blocks(fam), z, np.exp(-1j * xi))
+            h0, h1 = (part.T.reshape(-1, 4, 4) for part in (h0, h1))
             powers = b[None, :, None, None] ** np.arange(n_max)[:, None, None, None]
             h = np.concatenate([h0[None], powers * h1])
             for i, x in enumerate(xi):
@@ -122,6 +123,56 @@ def test_eta_coefficients_vs_uniform_eta_fft():
                     neg = t_m + s_m[swap][:, swap]
                     assert np.max(np.abs(fft[m] - pos)) < tol
                     assert np.max(np.abs(fft[-m] - neg)) < tol
+
+
+def _eta_parts_extended(fam, z, phase):
+    """(H0, H1, b) in np.clongdouble from the full 4 x 4 A0 of model.shift_blocks,
+    inverted by Gauss-Jordan with partial pivoting, and the Woodbury form with
+    delta^2 - 4 w11 w22 and c = 1 / (kappa (1 - ab)), as (n, 4, 4) stacks."""
+    blocks = {key: m.astype(np.longdouble) for key, m in shift_blocks(fam).items()}
+    zero, z, phase = np.zeros((4, 4), dtype=np.longdouble), np.longdouble(z), phase.astype(np.clongdouble)
+    m_pp, m_mm, m_pm, m_mp = (blocks.get(key, zero) for key in ((1, 1), (-1, -1), (1, -1), (-1, 1)))
+    n = len(phase)
+    aug = np.zeros((n, 4, 8), dtype=np.clongdouble)
+    aug[:, :, :4] = np.eye(4) - z * (m_pp * phase[:, None, None] + m_mm * phase.conj()[:, None, None])
+    aug[:, :, 4:] = np.eye(4)
+    for col in range(4):
+        pivot = col + np.argmax(np.abs(aug[:, col:, col]), axis=1)
+        row = aug[np.arange(n), pivot].copy()
+        aug[np.arange(n), pivot] = aug[:, col]
+        aug[:, col] = row / row[:, col, None]
+        aug -= np.where(np.arange(4)[:, None] == col, 0, aug[:, :, col, None]) * aug[:, col, None]
+    a0_inv, u, v = aug[:, :, 4:], -z * np.eye(4)[:, 1:3], np.stack([m_pm[1], m_mp[2]], axis=1)
+    left, right = a0_inv @ u, v.T @ a0_inv
+    w = right @ u
+    w11, w12, w21, w22 = w[:, 0, 0], w[:, 0, 1], w[:, 1, 0], w[:, 1, 1]
+    delta = 1 + w11 * w22 - w12 * w21
+    root = np.sqrt(delta * delta - 4 * w11 * w22)
+    kappa = (delta + np.where((delta.conj() * root).real < 0, -root, root)) / 2
+    a, b = -w11 / kappa, -w22 / kappa
+    c = (1 / (kappa * (1 - a * b)))[:, None, None]
+    k0 = c * np.stack([np.stack([w22 + b, -w12], -1), np.stack([-w21, w11 + a], -1)], -2)
+    k1 = c * np.stack([np.stack([b * (w22 + b), -b * w12], -1), np.stack([-b * w21, b * w11 + 1], -1)], -2)
+    return a0_inv - left @ k0 @ right, -left @ k1 @ right, b
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="no extended long double")
+@pytest.mark.parametrize("model", [Model.BALANCED, Model.CORRELATED])
+def test_eta_parts_near_crest_lines_vs_extended_precision(model):
+    """At p = 0 and Z_CAP the default nodes next to the crest lines xi in pi Z are
+    where the eta stage loses most. Against an np.clongdouble evaluation, H0, H1
+    and b are within 2e-9 of their largest entry per node (4.5e-11 at theta =
+    1.2, 3.0e-10 at 0.05): T^-1 Q is back-substituted through its pivot and the
+    discriminant of kappa read as (1 - A - B)^2 - 4 A B. The adjugate T^-1 Q
+    lost 2.2e-6 in b, and delta^2 - 4 w11 w22 1.1e-6 in H0 and H1."""
+    phase = genfun._tables(20, genfun.DEFAULT_GRID).phase
+    for theta in (0.05, 0.3, 1.2):
+        fam = kraus_family(WalkParams(theta, 0.0, model))
+        ref = _eta_parts_extended(fam, Z_CAP, phase)
+        h0, h1, b = _eta_parts(_laurent_blocks(fam), Z_CAP, phase)
+        for x, r in zip((h0.T.reshape(-1, 4, 4), h1.T.reshape(-1, 4, 4), b), ref):
+            err = np.abs(x - r.astype(complex)).reshape(len(phase), -1).max(axis=1)
+            assert np.all(err <= 2e-9 * np.abs(r).astype(float).reshape(len(phase), -1).max(axis=1))
 
 
 # -------------------------------------------------------------- Fourier blocks
@@ -295,6 +346,7 @@ def _assembled_stieltjes(fam, z, n_max, grid_n):
     b > 0, and K (block (-d1, -d2)) K^T for a < 0."""
     tables = genfun._tables(n_max, grid_n)
     h0, h1, b = _eta_parts(_laurent_blocks(fam), z, tables.phase)
+    h0, h1 = (part.T.reshape(-1, 4, 4) for part in (h0, h1))  # node-last (16, n) to (n, 4, 4)
     k, kp = COIN_PAIR_REFLECT, COIN_PAIR_REFLECT @ COIN_PAIR_SWAP
 
     def harmonic(a, n):
@@ -431,10 +483,9 @@ def test_z_sweep_propagates_bugs(monkeypatch):
 
 
 def test_linalg_errors_become_typed_errors(monkeypatch):
-    """A singular pointwise inverse, a singular batched A0 inverse and an eta root
-    moved across the unit circle are each a SingularKernelError; a failed
-    renewal inverse is a ConditioningError."""
-    inv = np.linalg.inv
+    """A singular pointwise inverse, a det T or g of A0 = [[T, Q], [0, g I]] that is
+    0 or not finite at a xi node, and an eta root moved across the unit circle are
+    each a SingularKernelError; a failed renewal inverse is a ConditioningError."""
     laurent_blocks = genfun._laurent_blocks
 
     def singular(*_args, **_kwargs):
@@ -443,29 +494,35 @@ def test_linalg_errors_become_typed_errors(monkeypatch):
     def one_sided(family):
         """A_-1 scaled by 100 and A_1 not: det(I - zV) is no longer even in eta,
         so both of its eta roots sit on one side of the unit circle."""
-        m_pp, m_mm, (u1, v1), cross = laurent_blocks(family)
-        return m_pp, m_mm, (100 * u1, v1), cross
-
-    def singular_renewal(a):
-        if np.shape(a)[-1] > 4:
-            raise np.linalg.LinAlgError("Singular matrix")
-        return inv(a)
+        outer, inner, alpha, v = laurent_blocks(family)
+        return outer, inner, alpha, v * [[100.0], [1.0]]
 
     with monkeypatch.context() as m:
         m.setattr(genfun, "invert_grid_4x4", singular)
         with pytest.raises(SingularKernelError):
             resolvent_kernel(kraus_family(WalkParams(0.6, 0.3)), 0.5, 0.1, 0.2)
-        # the A0 inverse at every xi node is the batched one
-        for model in (Model.BALANCED, Model.CORRELATED):
+    for model in (Model.BALANCED, Model.CORRELATED):
+        params = WalkParams(0.6, 0.3, model)
+        outer, inner, alpha, v = laurent_blocks(kraus_family(params))
+        # det T, then g, not finite at every node
+        for blocks in ((np.nan * outer, inner, alpha, v), (outer, inner, np.nan, v)):
+            with monkeypatch.context() as m:
+                m.setattr(genfun, "_laurent_blocks", lambda _family, blocks=blocks: blocks)
+                with pytest.raises(SingularKernelError, match="A0 is singular"):
+                    recurrence_estimate(params, 0.5, 4, 64)
+        # at xi = 0 and z = 0.5, T = 0 when M++ and M-- hold I on rows (R,R) and (L,L),
+        # and g = 1 - 2 z alpha = 0 at alpha = 1
+        unit = np.eye(4)[::3, :, None]
+        for blocks in ((unit, unit, alpha, v), (outer, inner, 1.0, v)):
             with pytest.raises(SingularKernelError, match="A0 is singular"):
-                recurrence_estimate(WalkParams(0.6, 0.3, model), 0.5, 4, 64)
+                _eta_parts(blocks, 0.5, np.array([1.0 + 0j]))
     with monkeypatch.context() as m:
         m.setattr(genfun, "_laurent_blocks", one_sided)
         for model in (Model.BALANCED, Model.CORRELATED):
             with pytest.raises(SingularKernelError, match="unit circle"):
                 recurrence_estimate(WalkParams(0.6, 0.3, model), 0.5, 4, 64)
-    # only the renewal's stack of four blocks fails: the batched 4 x 4 A0 inverse still runs
-    monkeypatch.setattr(genfun.np.linalg, "inv", singular_renewal)
+    # the renewal's stack of four blocks is the one np.linalg.inv of a point
+    monkeypatch.setattr(genfun.np.linalg, "inv", singular)
     with pytest.raises(ConditioningError):
         recurrence_estimate(WalkParams(0.6, 0.3), 0.5, 4, 64)
 
@@ -633,7 +690,7 @@ def test_non_swap_symmetric_stieltjes_is_refused(monkeypatch):
     def moved(shift):
         def parts(*args):
             h0, h1, b = eta_parts(*args)
-            h0[:, 1, 0] += shift
+            h0[4] += shift  # entry (1, 0), node-last
             return h0, h1, b
         return parts
 
@@ -809,6 +866,39 @@ def test_family_without_reflection_symmetry_is_unsupported(monkeypatch):
     assert np.all(np.diff(series.survival) <= 1e-14) and series.survival[-1] < 1.0
 
 
+def test_family_without_coin_pair_rows_is_unsupported(monkeypatch):
+    """The closed-form A0 inverse needs rows (R,L) and (L,R) of M++ and M-- to be
+    alpha e_RL and alpha e_LR. A real, trace-preserving, reflection-symmetric
+    family whose classical +1/-1 coin block flips the coin, sqrt(p/2) sigma_x
+    in place of sqrt(p/2) I beside S(C(0.9) x I) at weight 1 - p (no library
+    constructor builds it), has e_LR on row (R,L) of M++, so every genfun route
+    refuses it before any work and keeps nothing in the Laurent block cache;
+    the direct simulation still runs it."""
+
+    def no_work(*_args, **_kwargs):
+        raise AssertionError("xi tables or eta coefficients computed for a coin-flip family")
+
+    for stage in ("_tables", "_eta_parts"):
+        monkeypatch.setattr(genfun, stage, no_work)
+    _laurent_blocks.cache_clear()
+    p, flip = 0.5, np.array([[0.0, 1.0], [1.0, 0.0]])
+    classical = [TranslationKraus(((math.sqrt(p / 2) * flip, shift),)) for shift in (1, -1)]
+    fam = TranslationKrausFamily((_coined_operator(coin_matrix(0.9), p), *classical))
+    assert fam.is_real and fam.completeness_defect(np.linspace(0, 2 * np.pi, 9)) < 1e-12
+    m_pp, m_mm = shift_blocks(fam)[1, 1], shift_blocks(fam)[-1, -1]
+    assert np.array_equal(m_mm, COIN_PAIR_REFLECT @ m_pp @ COIN_PAIR_REFLECT.T)  # the reflection
+    monkeypatch.setattr(genfun, "kraus_family", lambda _params: fam)
+    for route in (fourier_blocks, stieltjes_matrix):
+        with pytest.raises(UnsupportedFamilyError, match="coin-pair rows"):
+            route(fam, 0.5, 4, grid_n=64)
+    with pytest.raises(UnsupportedFamilyError, match="coin-pair rows"):
+        recurrence_estimate(WalkParams(0.9, p), 0.5, 4, 64)
+    assert _laurent_blocks.cache_info().currsize == 0
+    monkeypatch.setattr(directsim, "kraus_family", lambda _params: fam)
+    series = return_series(WalkParams(0.9, p), 30)
+    assert np.all(np.diff(series.survival) <= 1e-14) and series.survival[-1] < 1.0
+
+
 def test_tables_over_the_memory_cap_are_refused(monkeypatch):
     """_table_bytes bounds the traced peak of building the tables, and a
     truncation whose tables would pass directsim.DEFAULT_MEMORY_CAP is a
@@ -857,10 +947,11 @@ def test_sin8_substitution_nodes_and_weights(grid_n):
     assert np.all((dk == 1) | ((dk == 0) & (dd > 0)))
 
 
-def test_default_point_inverts_one_matrix_per_first_half_node(monkeypatch):
-    """A default point takes one batched 4 x 4 inverse of DEFAULT_GRID // 2
-    matrices, one per first-half xi node, and the default tables hold that
-    many nodes: the count the benchmark's invert_grid_4x4.matrices reads."""
+def test_default_point_makes_no_4x4_inverse(monkeypatch):
+    """A default point inverts A0 in closed form at each of its DEFAULT_GRID // 2
+    first-half xi nodes, so it makes no invert_grid_4x4 call (the benchmark's
+    invert_grid_4x4.calls and .matrices read 0), and the default tables hold
+    that many nodes."""
     batches = []
     invert = genfun.invert_grid_4x4
 
@@ -870,7 +961,7 @@ def test_default_point_inverts_one_matrix_per_first_half_node(monkeypatch):
 
     monkeypatch.setattr(genfun, "invert_grid_4x4", counting)
     recurrence_estimate(WalkParams(math.pi / 4, 0.35), 0.999)
-    assert batches == [genfun.DEFAULT_GRID // 2]
+    assert batches == []
     tables = genfun._tables(20, genfun.DEFAULT_GRID)
     assert tables.phase.shape == (genfun.DEFAULT_GRID // 2,)
     assert tables.phases.shape[-1] == genfun.DEFAULT_GRID // 2
@@ -908,8 +999,8 @@ def test_laurent_cache_keeps_values_and_is_bounded():
     assert _laurent_blocks(families[-1]) is blocks[-1]  # kept
     assert _laurent_blocks(families[0]) is not blocks[0]  # evicted, rebuilt
     assert recurrence_estimate(params, 0.999, 4, 64) == cold
-    m_pp, m_mm, (u1, v1), (u2, v2) = blocks[-1]
-    for array in (m_pp, m_mm, u1, v1, u2, v2):
+    outer, inner, _, v = blocks[-1]
+    for array in (outer, inner, v):
         with pytest.raises(ValueError):  # the cached blocks cannot be changed in place
             array[0] = 1.0
 
